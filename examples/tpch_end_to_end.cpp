@@ -94,13 +94,16 @@ int main() {
   auto traces = cluster::GenerateTraceSet(stats, 10, /*seed=*/1);
   auto simulated = simulator.RunMany(*chosen, traces);
   auto baseline = simulator.BaselineRuntime(production);
-  if (simulated.ok() && baseline.ok()) {
-    std::printf(
-        "Simulated under failures (10 traces): %.1fs mean "
-        "(baseline %.1fs, overhead %.1f%%, %d sub-plan restarts)\n",
-        simulated->runtime, *baseline,
-        cluster::OverheadPercent(simulated->runtime, *baseline),
-        simulated->restarts);
+  if (!simulated.ok() || !baseline.ok()) {
+    std::fprintf(stderr, "simulation failed: %s\n",
+                 (baseline.ok() ? simulated.status() : baseline.status())
+                     .ToString()
+                     .c_str());
+    return 1;
   }
+  std::printf("Simulated under failures (10 traces): %s\n",
+              cluster::SummarizeRunMany(*simulated, 10, *baseline,
+                                        chosen->recovery)
+                  .c_str());
   return 0;
 }

@@ -20,6 +20,8 @@
 //                   failed partition replays the logged frontier at
 //                   wal_replay_factor speed instead of recomputing, and
 //                   logged progress survives the failure.
+// All three run on one retry-unit kernel (RunRetryUnit); write-ahead lineage
+// is its general case, and the other modes fix the replay factor at 1.
 #pragma once
 
 #include <string>
@@ -165,42 +167,35 @@ class ClusterSimulator {
   const SimulationOptions& options() const { return options_; }
 
  private:
-  /// Completion time of one collapsed op on one node, starting at `ready`.
-  /// `label`/`node_idx` identify the sub-plan and trace lane for the
-  /// exported timeline. One call is one retry unit: if the unit fails
-  /// options_.max_restarts times, `*aborted` is set and the returned time
-  /// is when the query gave up (the last failure's detection + MTTR).
-  double RunPartition(double ready, double duration, FailureTrace& node,
-                      int* restarts, bool* aborted, const std::string& label,
-                      int node_idx) const;
+  /// The one recovery kernel: runs a retry unit of `duration` seconds from
+  /// `ready` against `failures` (a node's FailureTrace, or the cluster-wide
+  /// ClusterTrace for a whole-query unit, node == -1) and returns its
+  /// completion time. Progress survives a failure as durable logged work;
+  /// each attempt replays it at `replay_factor` speed before running the
+  /// rest, so replay_factor == 1 recomputes everything (fine-grained and
+  /// full restart) and < 1 is write-ahead lineage. A failure is detected at
+  /// the next monitoring tick, then MTTR passes; after max_restarts kills
+  /// `*aborted` is set and the returned time is when the query gave up.
+  template <typename FailureSource>
+  double RunRetryUnit(double ready, double duration, double replay_factor,
+                      FailureSource& failures, int node,
+                      const std::string& label, int* restarts,
+                      bool* aborted) const;
 
-  /// Completion time of one collapsed op on one node under write-ahead
-  /// lineage: `duration` must already include the log-write overhead.
-  /// Progress is durable the moment it is logged; each attempt first
-  /// replays the logged frontier at wal_replay_factor speed, then runs the
-  /// remaining fresh work. Same abort semantics as RunPartition.
-  double RunWalPartition(double ready, double duration, FailureTrace& node,
-                         int* restarts, bool* aborted,
-                         const std::string& label, int node_idx) const;
+  /// Walks the collapsed DAG under fine-grained or WAL recovery, running
+  /// each (collapsed op x node) as its retry units, and returns the query's
+  /// finish time (or the abort time). `op_labels` is empty when no trace or
+  /// attempt log is attached.
+  double RunCollapsedDag(const ft::CollapsedPlan& cp,
+                         ft::RecoveryMode recovery,
+                         const std::vector<std::string>& op_labels,
+                         ClusterTrace& trace, double start_time,
+                         int* restarts, bool* aborted) const;
 
-  /// Virtual-time trace emission helpers (no-ops when options_.trace is
-  /// null). Durations/timestamps are simulated seconds.
+  /// Virtual-time trace span (no-op when options_.trace is null).
+  /// Durations/timestamps are simulated seconds.
   void TraceSpan(const std::string& name, const std::string& category,
                  double start_s, double dur_s, int node_idx) const;
-  void TraceInstant(const std::string& name, const std::string& category,
-                    double at_s, int node_idx) const;
-
-  Result<SimulationResult> RunFineGrained(const ft::CollapsedPlan& cp,
-                                          const std::vector<std::string>& op_labels,
-                                          ClusterTrace& trace,
-                                          double start_time) const;
-  Result<SimulationResult> RunFullRestart(const ft::CollapsedPlan& cp,
-                                          ClusterTrace& trace,
-                                          double start_time) const;
-  Result<SimulationResult> RunWalReplay(
-      const ft::CollapsedPlan& cp,
-      const std::vector<std::string>& op_labels, ClusterTrace& trace,
-      double start_time) const;
 
   cost::ClusterStats stats_;
   SimulationOptions options_;
@@ -212,5 +207,14 @@ class ClusterSimulator {
 inline double OverheadPercent(double runtime, double baseline) {
   return (runtime / baseline - 1.0) * 100.0;
 }
+
+/// \brief One-line summary of a RunMany result over `traces` traces,
+/// against the no-failure `baseline`: the mean runtime and overhead of the
+/// completed traces, aborted traces as a count plus the mean time they
+/// burned (never as a runtime or an overhead), and the restart count,
+/// named for `recovery` ("restarts" under full restart, else "sub-plan
+/// restarts").
+std::string SummarizeRunMany(const SimulationResult& result, int traces,
+                             double baseline, ft::RecoveryMode recovery);
 
 }  // namespace xdbft::cluster

@@ -99,33 +99,17 @@ double ExpectedAttempts(double t, double mtbf_cost, double success_target) {
   return std::max(a, 0.0);
 }
 
-double OperatorTotalRuntime(double t, const FailureParams& params) {
-  return OperatorTotalRuntime(t, params, 0.0);
-}
-
 double OperatorTotalRuntime(double t, const FailureParams& params,
-                            double extra_cost_per_attempt) {
+                            double extra_cost_per_attempt,
+                            double replay_factor) {
   if (t <= 0.0) return 0.0;
   const double a = ExpectedAttempts(t, params.effective_mtbf_cost(),
                                     params.success_target);
   const double w = WastedTime(t, params);
-  // Keep the historical summation order; the extra term is only added when
-  // present so a zero extra (and the plain overload) stays bit-identical
-  // (also avoids inf * 0 = NaN when a(c) overflows).
-  const double base = t + a * w + a * params.mttr_cost;
-  if (!(extra_cost_per_attempt > 0.0)) return base;
-  return base + a * extra_cost_per_attempt;
-}
-
-double OperatorTotalRuntimeWalReplay(double t, const FailureParams& params,
-                                     double replay_factor,
-                                     double extra_cost_per_attempt) {
-  if (t <= 0.0) return 0.0;
-  const double a = ExpectedAttempts(t, params.effective_mtbf_cost(),
-                                    params.success_target);
-  const double w = WastedTime(t, params);
-  // Same summation order as OperatorTotalRuntime; replay_factor == 1.0
-  // multiplies w exactly and reproduces it bit-for-bit.
+  // Keep the historical summation order: replay_factor == 1.0 multiplies
+  // w exactly, and the extra term is only added when present (also avoids
+  // inf * 0 = NaN when a(c) overflows), so the defaults stay bit-identical
+  // to plain Eq. 8.
   const double base = t + a * (replay_factor * w) + a * params.mttr_cost;
   if (!(extra_cost_per_attempt > 0.0)) return base;
   return base + a * extra_cost_per_attempt;

@@ -12,9 +12,8 @@ double CollapsedOpTotalRuntime(double t, double lineage_volume,
   if (!wal.enabled) {
     return OperatorTotalRuntime(t, fparams, extra_cost_per_attempt);
   }
-  const double durable = t + wal.write_cost * lineage_volume;
-  return OperatorTotalRuntimeWalReplay(durable, fparams, wal.replay_factor,
-                                       extra_cost_per_attempt);
+  return OperatorTotalRuntime(t + wal.write_cost * lineage_volume, fparams,
+                              extra_cost_per_attempt, wal.replay_factor);
 }
 
 PlacementResult ComputePlacement(const CollapsedPlan& cp,

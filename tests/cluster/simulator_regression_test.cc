@@ -304,5 +304,144 @@ TEST(SimulatorRegressionTest, DetectionDelayParityWithFineGrained) {
   EXPECT_GT(failed_runs, 0);  // the parity claim was actually exercised
 }
 
+// Golden crafted-trace tests: every expected value below is worked out by
+// hand from the scheduled failure times, so each recovery discipline's
+// clock, restart count and attempt ledger are pinned exactly (the other
+// WAL and checkpoint tests are statistical crosschecks).
+
+void ExpectAttempt(const obs::AttemptRecord& rec, const std::string& label,
+                   int node, int attempt, double dispatch, double finish,
+                   bool killed) {
+  EXPECT_EQ(rec.label, label);
+  EXPECT_EQ(rec.node, node);
+  EXPECT_EQ(rec.attempt, attempt);
+  EXPECT_DOUBLE_EQ(rec.dispatch_seconds, dispatch);
+  EXPECT_DOUBLE_EQ(rec.finish_seconds, finish);
+  EXPECT_EQ(rec.killed, killed);
+}
+
+TEST(SimulatorRegressionTest, GoldenWalReplayKeepsLoggedProgress) {
+  // One node, one collapsed op: t = 20 + 1 = 21, lineage volume 1 (the
+  // scan's tm), so with wal_write_cost 2 the durable length is d = 23.
+  // Replay factor 0.25: an attempt with `logged` durable progress replays
+  // it in 0.25*logged and then runs the fresh rest, span d - 0.75*logged.
+  //   attempt 0: [0, 8)   killed at 8, nothing to replay -> logged = 8
+  //   attempt 1: [9, 10)  span 23 - 6 = 17, killed at 10 inside the 2 s
+  //                       replay phase -> logged stays 8
+  //   attempt 2: [11, 14) killed at 14, 1 s past the replay -> logged = 9
+  //   attempt 3: [15, 31.25) span 23 - 6.75 = 16.25, completes
+  Plan p = ChainPlan(10.0, 1.0, 2);
+  cost::ClusterStats stats = cost::MakeCluster(1, 15.0, 1.0);
+  obs::AttemptTimeline ledger;
+  SimulationOptions opts;
+  opts.wal_write_cost = 2.0;
+  opts.wal_replay_factor = 0.25;
+  opts.attempt_log = &ledger;
+  ClusterSimulator sim(stats, opts);
+  ClusterTrace trace = ClusterTrace::FromScheduled({{8.0, 10.0, 14.0}});
+  auto r = sim.Run(p, MaterializationConfig::NoMat(p),
+                   RecoveryMode::kWalReplay, trace);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_TRUE(r->completed);
+  EXPECT_EQ(r->aborted, 0);
+  EXPECT_EQ(r->restarts, 3);
+  EXPECT_EQ(r->failures_hit, 3);
+  EXPECT_DOUBLE_EQ(r->runtime, 31.25);
+  ASSERT_EQ(ledger.records.size(), 4u);
+  ExpectAttempt(ledger.records[0], "c0", 0, 0, 0.0, 8.0, true);
+  ExpectAttempt(ledger.records[1], "c0", 0, 1, 9.0, 10.0, true);
+  ExpectAttempt(ledger.records[2], "c0", 0, 2, 11.0, 14.0, true);
+  ExpectAttempt(ledger.records[3], "c0", 0, 3, 15.0, 31.25, false);
+}
+
+TEST(SimulatorRegressionTest, GoldenCheckpointSegmentRepeatsOnlyItself) {
+  // t = 21 with checkpoint_interval 7 -> 3 segments of 7 s of work; the
+  // first two also write a 1 s checkpoint: [0, 8), [8, 16), [16, 23).
+  // Node 0 fails at 10, inside segment 2: only that segment repeats, from
+  // 10 + MTTR 1 = 11 to 19, and segment 3 runs [19, 26). Node 1 never
+  // fails and finishes at 23, so the op (and query) ends at 26.
+  Plan p = ChainPlan(10.0, 1.0, 2);
+  cost::ClusterStats stats = cost::MakeCluster(2, 15.0, 1.0);
+  obs::AttemptTimeline ledger;
+  SimulationOptions opts;
+  opts.checkpoint_interval = 7.0;
+  opts.checkpoint_cost = 1.0;
+  opts.attempt_log = &ledger;
+  ClusterSimulator sim(stats, opts);
+  ClusterTrace trace = ClusterTrace::FromScheduled({{10.0}, {}});
+  auto r = sim.Run(p, MaterializationConfig::NoMat(p),
+                   RecoveryMode::kFineGrained, trace);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_TRUE(r->completed);
+  EXPECT_EQ(r->restarts, 1);
+  EXPECT_EQ(r->failures_hit, 1);
+  EXPECT_DOUBLE_EQ(r->runtime, 26.0);
+  ASSERT_EQ(ledger.records.size(), 7u);
+  ExpectAttempt(ledger.records[0], "c0 [seg 1/3]", 0, 0, 0.0, 8.0, false);
+  ExpectAttempt(ledger.records[1], "c0 [seg 2/3]", 0, 0, 8.0, 10.0, true);
+  ExpectAttempt(ledger.records[2], "c0 [seg 2/3]", 0, 1, 11.0, 19.0, false);
+  ExpectAttempt(ledger.records[3], "c0 [seg 3/3]", 0, 0, 19.0, 26.0, false);
+  ExpectAttempt(ledger.records[4], "c0 [seg 1/3]", 1, 0, 0.0, 8.0, false);
+  ExpectAttempt(ledger.records[5], "c0 [seg 2/3]", 1, 0, 8.0, 16.0, false);
+  ExpectAttempt(ledger.records[6], "c0 [seg 3/3]", 1, 0, 16.0, 23.0, false);
+}
+
+TEST(SimulatorRegressionTest, GoldenCheckpointSegmentAbortsAtMaxRestarts) {
+  // Same 3-segment op with max_restarts 2: segment 2 dies at 10 and again
+  // at 12 after restarting at 11. The second kill exhausts the unit, so
+  // the query gives up at 12 + MTTR 1 = 13 without running segment 3.
+  Plan p = ChainPlan(10.0, 1.0, 2);
+  cost::ClusterStats stats = cost::MakeCluster(1, 15.0, 1.0);
+  obs::AttemptTimeline ledger;
+  SimulationOptions opts;
+  opts.checkpoint_interval = 7.0;
+  opts.checkpoint_cost = 1.0;
+  opts.max_restarts = 2;
+  opts.attempt_log = &ledger;
+  ClusterSimulator sim(stats, opts);
+  ClusterTrace trace = ClusterTrace::FromScheduled({{10.0, 12.0}});
+  auto r = sim.Run(p, MaterializationConfig::NoMat(p),
+                   RecoveryMode::kFineGrained, trace);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_FALSE(r->completed);
+  EXPECT_EQ(r->aborted, 1);
+  EXPECT_EQ(r->restarts, 2);
+  EXPECT_EQ(r->failures_hit, 2);
+  EXPECT_DOUBLE_EQ(r->runtime, 13.0);
+  EXPECT_DOUBLE_EQ(r->aborted_seconds, 13.0);
+  ASSERT_EQ(ledger.records.size(), 3u);
+  ExpectAttempt(ledger.records[0], "c0 [seg 1/3]", 0, 0, 0.0, 8.0, false);
+  ExpectAttempt(ledger.records[1], "c0 [seg 2/3]", 0, 0, 8.0, 10.0, true);
+  ExpectAttempt(ledger.records[2], "c0 [seg 2/3]", 0, 1, 11.0, 12.0, true);
+}
+
+TEST(SimulatorRegressionTest, GoldenFullRestartAbortEndsAfterDetectAndMttr) {
+  // A 21 s query on two nodes, monitoring every 2 s, MTTR 10, at most 2
+  // restarts. Node 0 fails at 1 (detected at the t=2 tick, restart at
+  // 12); node 1 fails at 13.5 (detected at 14). That second failure
+  // exhausts max_restarts: the run ends at the last tick plus MTTR, 24.
+  Plan p = ChainPlan(10.0, 1.0, 2);
+  cost::ClusterStats stats = cost::MakeCluster(2, 15.0, 10.0);
+  obs::AttemptTimeline ledger;
+  SimulationOptions opts;
+  opts.monitoring_interval = 2.0;
+  opts.max_restarts = 2;
+  opts.attempt_log = &ledger;
+  ClusterSimulator sim(stats, opts);
+  ClusterTrace trace = ClusterTrace::FromScheduled({{1.0}, {13.5}});
+  auto r = sim.Run(p, MaterializationConfig::NoMat(p),
+                   RecoveryMode::kFullRestart, trace);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_FALSE(r->completed);
+  EXPECT_EQ(r->aborted, 1);
+  EXPECT_EQ(r->restarts, 2);
+  EXPECT_EQ(r->failures_hit, 2);
+  EXPECT_DOUBLE_EQ(r->runtime, 24.0);
+  EXPECT_DOUBLE_EQ(r->aborted_seconds, 24.0);
+  ASSERT_EQ(ledger.records.size(), 2u);
+  ExpectAttempt(ledger.records[0], "query", -1, 0, 0.0, 1.0, true);
+  ExpectAttempt(ledger.records[1], "query", -1, 1, 12.0, 13.5, true);
+}
+
 }  // namespace
 }  // namespace xdbft::cluster

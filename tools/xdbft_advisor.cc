@@ -704,14 +704,18 @@ int main(int argc, char** argv) {
     auto traces = cluster::GenerateTraceSet(
         stats, args.simulate_traces, /*base_seed=*/42);
     auto result = simulator.RunMany(*chosen, traces);
-    if (result.ok() && baseline.ok()) {
-      std::printf(
-          "\nSimulated over %d failure traces: mean runtime %.1fs "
-          "(baseline %.1fs, overhead %.1f%%, %d sub-plan restarts)\n",
-          args.simulate_traces, result->runtime, *baseline,
-          cluster::OverheadPercent(result->runtime, *baseline),
-          result->restarts);
+    if (!baseline.ok() || !result.ok()) {
+      std::fprintf(stderr, "simulation failed: %s\n",
+                   (baseline.ok() ? result.status() : baseline.status())
+                       .ToString()
+                       .c_str());
+      return 1;
     }
+    std::printf("\nSimulated over %d failure traces: %s\n",
+                args.simulate_traces,
+                cluster::SummarizeRunMany(*result, args.simulate_traces,
+                                          *baseline, chosen->recovery)
+                    .c_str());
     if (trace_ptr != nullptr) {
       // One extra single run exports the discrete-event timeline (virtual
       // time: 1 simulated second = 1 ms) into the trace on its own pid.
