@@ -72,7 +72,7 @@ template <typename FailureSource>
 double ClusterSimulator::RunRetryUnit(double ready, double duration,
                                       double replay_factor,
                                       FailureSource& failures, int node,
-                                      const std::string& label, int* restarts,
+                                      const UnitLabels& label, int* restarts,
                                       bool* aborted) const {
   const bool whole_query = node < 0;
   const int lane = whole_query ? 0 : node;
@@ -90,12 +90,12 @@ double ClusterSimulator::RunRetryUnit(double ready, double duration,
     const double fail = failures.NextFailureAfter(start);
     if (fail >= start + span) {
       if (whole_query) {
-        TraceSpan(label, "query", start, span, lane);
+        TraceSpan(label.span, "query", start, span, lane);
       } else {
-        TraceSpan(label, "subplan", start, span, lane);
+        TraceSpan(label.span, "subplan", start, span, lane);
         XDBFT_COUNTER_INC("simulator.subplan_runs");
       }
-      LogAttempt(options_.attempt_log, label, node, attempt, start,
+      LogAttempt(options_.attempt_log, label.ledger, node, attempt, start,
                  start + span, /*killed=*/false);
       return start + span;
     }
@@ -109,13 +109,13 @@ double ClusterSimulator::RunRetryUnit(double ready, double duration,
     XDBFT_COUNTER_INC("simulator.failures");
     XDBFT_FLIGHT("simulator", "failure", node, attempt);
     if (options_.trace != nullptr) {
-      TraceSpan(label + " (killed)", "killed", start, elapsed, lane);
+      TraceSpan(label.span + " (killed)", "killed", start, elapsed, lane);
       options_.trace->AddInstant("failure", "failure",
                                  fail * kTraceUsPerSimSecond,
                                  options_.trace_pid, lane);
     }
-    LogAttempt(options_.attempt_log, label, node, attempt - 1, start, fail,
-               /*killed=*/true);
+    LogAttempt(options_.attempt_log, label.ledger, node, attempt - 1, start,
+               fail, /*killed=*/true);
     // The coordinator notices the failure at the next monitoring tick,
     // then redeploys (MTTR) and starts the unit over.
     double detected = fail;
@@ -142,14 +142,14 @@ double ClusterSimulator::RunRetryUnit(double ready, double duration,
 
 double ClusterSimulator::RunCollapsedDag(
     const CollapsedPlan& cp, RecoveryMode recovery,
-    const std::vector<std::string>& op_labels, ClusterTrace& trace,
+    const std::vector<UnitLabels>& op_labels, ClusterTrace& trace,
     double start_time, int* restarts, bool* aborted) const {
   const bool wal = recovery == RecoveryMode::kWalReplay;
   const double replay_factor = wal ? options_.wal_replay_factor : 1.0;
-  const std::string no_label;
+  const UnitLabels no_label;
   std::vector<double> finish(cp.num_ops(), start_time);
   for (const auto& c : cp.ops()) {  // ascending id = topological
-    const std::string& label =
+    const UnitLabels& label =
         op_labels.empty() ? no_label : op_labels[static_cast<size_t>(c.id)];
     double ready = start_time;
     for (ft::CollapsedId in : c.inputs) {
@@ -178,10 +178,14 @@ double ClusterSimulator::RunCollapsedDag(
                                   ? segment_work + options_.checkpoint_cost
                                   : segment_work;
         if (length <= 0.0) continue;
-        std::string segment_label;
-        if (segments > 1 && !label.empty()) {
-          segment_label =
-              StrFormat("%s [seg %d/%d]", label.c_str(), s + 1, segments);
+        UnitLabels segment_label;
+        if (segments > 1 && !op_labels.empty()) {
+          const std::string suffix =
+              StrFormat(" [seg %d/%d]", s + 1, segments);
+          if (!label.span.empty()) segment_label.span = label.span + suffix;
+          if (!label.ledger.empty()) {
+            segment_label.ledger = label.ledger + suffix;
+          }
         }
         completion = RunRetryUnit(completion, length, replay_factor,
                                   trace.node(k), k,
@@ -218,20 +222,24 @@ Result<SimulationResult> ClusterSimulator::Run(
   double end = start_time;
   if (recovery == RecoveryMode::kFullRestart) {
     // The whole query is one retry unit against the cluster-wide trace.
-    static const std::string kQueryLabel = "query";
+    static const UnitLabels kQueryLabel = {"query", "query"};
     end = RunRetryUnit(start_time, cp.MakespanNoFailure(), 1.0, trace,
                        /*node=*/-1, kQueryLabel, &result.restarts, &aborted);
   } else {
     // Sub-plan labels for the timeline ("c<id>:<anchor>") and the attempt
-    // ledger ("c<id>" when no trace is attached), built once per run.
-    std::vector<std::string> op_labels;
+    // ledger ("c<id>"), each built once per run and only for its sink.
+    std::vector<UnitLabels> op_labels;
     if (options_.trace != nullptr || options_.attempt_log != nullptr) {
-      op_labels.reserve(cp.num_ops());
+      op_labels.resize(cp.num_ops());
       for (const auto& c : cp.ops()) {
-        op_labels.push_back(
-            options_.trace != nullptr
-                ? StrFormat("c%d:%s", c.id, plan.node(c.anchor).label.c_str())
-                : StrFormat("c%d", c.id));
+        UnitLabels& label = op_labels[static_cast<size_t>(c.id)];
+        if (options_.trace != nullptr) {
+          label.span =
+              StrFormat("c%d:%s", c.id, plan.node(c.anchor).label.c_str());
+        }
+        if (options_.attempt_log != nullptr) {
+          label.ledger = StrFormat("c%d", c.id);
+        }
       }
     }
     end = RunCollapsedDag(cp, recovery, op_labels, trace, start_time,

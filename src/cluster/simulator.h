@@ -167,6 +167,14 @@ class ClusterSimulator {
   const SimulationOptions& options() const { return options_; }
 
  private:
+  /// Names of one retry unit: `span` for trace spans ("c<id>:<anchor>"),
+  /// `ledger` for attempt-ledger records ("c<id>", the same whichever other
+  /// sinks are attached). Each is empty when its sink is not attached.
+  struct UnitLabels {
+    std::string span;
+    std::string ledger;
+  };
+
   /// The one recovery kernel: runs a retry unit of `duration` seconds from
   /// `ready` against `failures` (a node's FailureTrace, or the cluster-wide
   /// ClusterTrace for a whole-query unit, node == -1) and returns its
@@ -179,7 +187,7 @@ class ClusterSimulator {
   template <typename FailureSource>
   double RunRetryUnit(double ready, double duration, double replay_factor,
                       FailureSource& failures, int node,
-                      const std::string& label, int* restarts,
+                      const UnitLabels& label, int* restarts,
                       bool* aborted) const;
 
   /// Walks the collapsed DAG under fine-grained or WAL recovery, running
@@ -188,7 +196,7 @@ class ClusterSimulator {
   /// attempt log is attached.
   double RunCollapsedDag(const ft::CollapsedPlan& cp,
                          ft::RecoveryMode recovery,
-                         const std::vector<std::string>& op_labels,
+                         const std::vector<UnitLabels>& op_labels,
                          ClusterTrace& trace, double start_time,
                          int* restarts, bool* aborted) const;
 

@@ -1,8 +1,6 @@
 #include "ft/collapsed_plan.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -22,127 +20,137 @@ Result<CollapsedPlan> CollapsedPlan::Create(
   }
 
   CollapsedPlan cp;
-  std::map<OpId, CollapsedId> anchor_to_id;
+  cp.Collapse(plan, config, pipe_constant);
+  return cp;
+}
+
+void CollapsedPlan::Collapse(const Plan& plan,
+                             const MaterializationConfig& config,
+                             double pipe_constant) {
+  const size_t num_nodes = plan.num_nodes();
+  anchor_of_.assign(num_nodes, -1);
+  member_of_.assign(num_nodes, -1);
+  longest_.resize(num_nodes);
+  pred_.resize(num_nodes);
 
   // Anchors in ascending (= topological) order so that input collapsed ops
   // exist before their consumers.
+  num_ops_ = 0;
   for (const auto& node : plan.nodes()) {
-    if (!config.materialized(node.id)) continue;
-    CollapsedOp c;
-    c.id = static_cast<CollapsedId>(cp.ops_.size());
+    if (config.materialized(node.id)) {
+      anchor_of_[static_cast<size_t>(node.id)] =
+          static_cast<CollapsedId>(num_ops_++);
+    }
+  }
+  if (ops_.size() < num_ops_) ops_.resize(num_ops_);
+
+  for (const auto& node : plan.nodes()) {
+    const CollapsedId id = anchor_of_[static_cast<size_t>(node.id)];
+    if (id < 0) continue;
+    CollapsedOp& c = ops_[static_cast<size_t>(id)];
+    c.id = id;
     c.anchor = node.id;
 
     // Collect coll(c): the anchor plus all non-materialized ancestors
-    // reachable without crossing a materialized operator.
-    std::set<OpId> members;
-    std::set<CollapsedId> input_ids;
-    std::vector<OpId> stack = {node.id};
-    while (!stack.empty()) {
-      const OpId o = stack.back();
-      stack.pop_back();
-      if (!members.insert(o).second) continue;
+    // reachable without crossing a materialized operator. member_of_
+    // marks them with c's id, so no per-op reset is needed.
+    c.members.clear();
+    c.inputs.clear();
+    stack_.assign(1, node.id);
+    while (!stack_.empty()) {
+      const OpId o = stack_.back();
+      stack_.pop_back();
+      if (member_of_[static_cast<size_t>(o)] == id) continue;
+      member_of_[static_cast<size_t>(o)] = id;
+      c.members.push_back(o);
       for (OpId in : plan.node(o).inputs) {
-        if (config.materialized(in)) {
-          input_ids.insert(anchor_to_id.at(in));
+        const CollapsedId input = anchor_of_[static_cast<size_t>(in)];
+        if (input >= 0) {
+          c.inputs.push_back(input);
         } else {
-          stack.push_back(in);
+          stack_.push_back(in);
         }
       }
     }
-    c.members.assign(members.begin(), members.end());
-    c.inputs.assign(input_ids.begin(), input_ids.end());
+    std::sort(c.members.begin(), c.members.end());
+    std::sort(c.inputs.begin(), c.inputs.end());
+    c.inputs.erase(std::unique(c.inputs.begin(), c.inputs.end()),
+                   c.inputs.end());
 
     // Dominant internal path dom(c): the max-tr path over coll(c)'s
-    // internal edges ending at the anchor (Eq. 1).
-    std::map<OpId, double> longest;
-    std::map<OpId, OpId> pred;
-    for (OpId o : c.members) {  // ascending ids = topological
+    // internal edges ending at the anchor (Eq. 1). Members ascend (=
+    // topological order); the anchor, the largest, adds no lineage.
+    c.lineage_volume = 0.0;
+    for (OpId o : c.members) {
       double best_in = 0.0;
       OpId best_pred = plan::kInvalidOpId;
       for (OpId in : plan.node(o).inputs) {
-        if (!members.count(in)) continue;
-        if (longest.at(in) > best_in) {
-          best_in = longest.at(in);
+        if (member_of_[static_cast<size_t>(in)] != id) continue;
+        if (longest_[static_cast<size_t>(in)] > best_in) {
+          best_in = longest_[static_cast<size_t>(in)];
           best_pred = in;
         }
       }
-      longest[o] = plan.node(o).runtime_cost + best_in;
-      pred[o] = best_pred;
+      longest_[static_cast<size_t>(o)] = plan.node(o).runtime_cost + best_in;
+      pred_[static_cast<size_t>(o)] = best_pred;
+      if (o != node.id) c.lineage_volume += plan.node(o).materialize_cost;
     }
-    for (OpId o = node.id; o != plan::kInvalidOpId; o = pred.at(o)) {
+    c.dominant_members.clear();
+    for (OpId o = node.id; o != plan::kInvalidOpId;
+         o = pred_[static_cast<size_t>(o)]) {
       c.dominant_members.push_back(o);
     }
     std::reverse(c.dominant_members.begin(), c.dominant_members.end());
 
     const double factor =
         c.dominant_members.size() > 1 ? pipe_constant : 1.0;
-    c.runtime_cost = longest.at(node.id) * factor;
-    c.materialize_cost = plan.node(node.id).materialize_cost;
-    for (OpId m : c.members) {
-      if (m == node.id) continue;
-      c.lineage_volume += plan.node(m).materialize_cost;
-    }
-
-    anchor_to_id[node.id] = c.id;
-    cp.ops_.push_back(std::move(c));
+    c.runtime_cost = longest_[static_cast<size_t>(node.id)] * factor;
+    c.materialize_cost = node.materialize_cost;
   }
 
-  std::vector<bool> has_consumer(cp.ops_.size(), false);
-  for (const auto& c : cp.ops_) {
-    if (c.inputs.empty()) cp.sources_.push_back(c.id);
+  // Consumer adjacency: count, prefix-sum, then fill in ascending
+  // consumer id order (ops are visited by id), which leaves every
+  // consumer_begin_[i] at the end of op i's list; shift back by one.
+  consumer_begin_.assign(num_ops_ + 1, 0);
+  for (const CollapsedOp& c : ops()) {
     for (CollapsedId in : c.inputs) {
-      has_consumer[static_cast<size_t>(in)] = true;
+      ++consumer_begin_[static_cast<size_t>(in) + 1];
     }
   }
-  for (const auto& c : cp.ops_) {
-    if (!has_consumer[static_cast<size_t>(c.id)]) cp.sinks_.push_back(c.id);
+  for (size_t i = 0; i < num_ops_; ++i) {
+    consumer_begin_[i + 1] += consumer_begin_[i];
   }
-  return cp;
-}
-
-std::vector<CollapsedId> CollapsedPlan::Consumers(CollapsedId id) const {
-  std::vector<CollapsedId> out;
-  for (const auto& c : ops_) {
-    if (std::find(c.inputs.begin(), c.inputs.end(), id) != c.inputs.end()) {
-      out.push_back(c.id);
-    }
-  }
-  return out;
-}
-
-size_t CollapsedPlan::ForEachPath(
-    const std::function<bool(const CollapsedPath&)>& visit) const {
-  // Precompute consumer adjacency once.
-  std::vector<std::vector<CollapsedId>> consumers(ops_.size());
-  for (const auto& c : ops_) {
+  consumer_ids_.resize(consumer_begin_[num_ops_]);
+  for (const CollapsedOp& c : ops()) {
     for (CollapsedId in : c.inputs) {
-      consumers[static_cast<size_t>(in)].push_back(c.id);
+      consumer_ids_[consumer_begin_[static_cast<size_t>(in)]++] = c.id;
     }
   }
-  size_t visited = 0;
-  bool stop = false;
-  CollapsedPath path;
-  // Iterative DFS with explicit path stack.
-  std::function<void(CollapsedId)> dfs = [&](CollapsedId id) {
-    if (stop) return;
-    path.push_back(id);
-    const auto& next = consumers[static_cast<size_t>(id)];
-    if (next.empty()) {
-      ++visited;
-      if (!visit(path)) stop = true;
-    } else {
-      for (CollapsedId n : next) {
-        dfs(n);
-        if (stop) break;
-      }
-    }
-    path.pop_back();
-  };
-  for (CollapsedId s : sources_) {
-    dfs(s);
-    if (stop) break;
+  for (size_t i = num_ops_; i > 0; --i) {
+    consumer_begin_[i] = consumer_begin_[i - 1];
   }
-  return visited;
+  consumer_begin_[0] = 0;
+
+  // Sources, sinks and the source->sink path count (DP over ascending =
+  // topological ids).
+  sources_.clear();
+  sinks_.clear();
+  paths_to_.resize(num_ops_);
+  num_paths_ = 0;
+  for (const CollapsedOp& c : ops()) {
+    const size_t i = static_cast<size_t>(c.id);
+    size_t paths = 0;
+    if (c.inputs.empty()) {
+      sources_.push_back(c.id);
+      paths = 1;
+    }
+    for (CollapsedId in : c.inputs) paths += paths_to_[static_cast<size_t>(in)];
+    paths_to_[i] = paths;
+    if (consumer_begin_[i] == consumer_begin_[i + 1]) {
+      sinks_.push_back(c.id);
+      num_paths_ += paths;
+    }
+  }
 }
 
 std::vector<CollapsedPath> CollapsedPlan::AllPaths() const {
@@ -154,26 +162,6 @@ std::vector<CollapsedPath> CollapsedPlan::AllPaths() const {
   return out;
 }
 
-size_t CollapsedPlan::CountPaths() const {
-  std::vector<size_t> count(ops_.size(), 0);
-  for (const auto& c : ops_) {  // ascending id = topological
-    if (c.inputs.empty()) {
-      count[static_cast<size_t>(c.id)] = 1;
-      continue;
-    }
-    size_t total = 0;
-    for (CollapsedId in : c.inputs) {
-      total += count[static_cast<size_t>(in)];
-    }
-    count[static_cast<size_t>(c.id)] = total;
-  }
-  size_t total = 0;
-  for (CollapsedId sink : sinks_) {
-    total += count[static_cast<size_t>(sink)];
-  }
-  return total;
-}
-
 double CollapsedPlan::PathRuntimeNoFailure(const CollapsedPath& path) const {
   double total = 0.0;
   for (CollapsedId id : path) total += op(id).total_cost();
@@ -181,9 +169,9 @@ double CollapsedPlan::PathRuntimeNoFailure(const CollapsedPath& path) const {
 }
 
 double CollapsedPlan::MakespanNoFailure() const {
-  std::vector<double> finish(ops_.size(), 0.0);
+  std::vector<double> finish(num_ops_, 0.0);
   double makespan = 0.0;
-  for (const auto& c : ops_) {  // ascending id = topological
+  for (const auto& c : ops()) {  // ascending id = topological
     double ready = 0.0;
     for (CollapsedId in : c.inputs) {
       ready = std::max(ready, finish[static_cast<size_t>(in)]);
@@ -196,8 +184,8 @@ double CollapsedPlan::MakespanNoFailure() const {
 
 std::string CollapsedPlan::Explain() const {
   std::ostringstream os;
-  os << "CollapsedPlan (" << ops_.size() << " collapsed operators)\n";
-  for (const auto& c : ops_) {
+  os << "CollapsedPlan (" << num_ops_ << " collapsed operators)\n";
+  for (const auto& c : ops()) {
     std::vector<std::string> mems;
     mems.reserve(c.members.size());
     for (OpId m : c.members) mems.push_back(std::to_string(m));

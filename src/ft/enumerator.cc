@@ -90,7 +90,11 @@ int FtPlanEnumerator::ResolveThreads(int num_threads) {
 /// totals are exact regardless of how the evaluation work is scheduled.
 struct FtPlanEnumerator::PreparedPlan {
   Plan plan;
+  /// Per-candidate invariants of the per-mask step: the plan is valid, and
+  /// a mask's configuration is `base` (bound and sink operators forced,
+  /// valid for the plan) with SetFreeMask(free_ops, mask) applied.
   std::vector<plan::OpId> free_ops;
+  MaterializationConfig base;
   uint64_t num_configs = 0;
   uint64_t unpruned = 0;
   uint64_t rule1_marked = 0;
@@ -201,6 +205,8 @@ FtPlanEnumerator::PreparedPlan FtPlanEnumerator::Prepare(
     return out;
   }
   out.num_configs = uint64_t{1} << out.free_ops.size();
+  out.base = MaterializationConfig::NoMat(out.plan);
+  out.status = out.base.Validate(out.plan);
   return out;
 }
 
@@ -210,16 +216,16 @@ void FtPlanEnumerator::EvaluateMaskRange(const PreparedPlan& prepared,
                                          EnumerationStats* local) const {
   const double pipe = model_.context().model.pipe_constant;
   const bool rule3 = options_.pruning.rule3;
+  // Only the mask-dependent work runs per configuration: Prepare validated
+  // the plan and its forced base once (pipe_constant is validated with the
+  // context), and the config and the collapsed plan are rebuilt in place.
+  MaterializationConfig config = prepared.base;
+  CollapsedPlan cp;
+  CollapsedPath dom_path;
   for (uint64_t mask = range.lo; mask < range.hi; ++mask) {
     if (state->failed.load(std::memory_order_relaxed)) return;
-    const MaterializationConfig config =
-        MaterializationConfig::FromFreeMask(prepared.plan, mask);
-    auto collapsed = CollapsedPlan::Create(prepared.plan, config, pipe);
-    if (!collapsed.ok()) {
-      state->RecordError(range.plan_index, mask, collapsed.status());
-      return;
-    }
-    const CollapsedPlan& cp = *collapsed;
+    config.SetFreeMask(prepared.free_ops, mask);
+    cp.Collapse(prepared.plan, config, pipe);
 
     // Placement pass (correlated-failure extension): deterministic greedy
     // group assignment per configuration; inactive (the common case)
@@ -255,7 +261,7 @@ void FtPlanEnumerator::EvaluateMaskRange(const PreparedPlan& prepared,
     // configuration tying the final best is never eliminated and the
     // (cost, plan, mask) tie-break stays exact at any thread count.
     double dom_cost = 0.0;
-    CollapsedPath dom_path;
+    dom_path.clear();
     bool pruned = false;
     const size_t total_paths = rule3 ? cp.CountPaths() : 0;
     const size_t visited = cp.ForEachPath([&](const CollapsedPath& path) {

@@ -12,12 +12,18 @@ using plan::Plan;
 
 namespace {
 
-// Applies forced values: bound operators and sinks.
-void ApplyConstraints(const Plan& plan, MaterializationConfig* config) {
+// is_sink[o]: no operator consumes o's output.
+std::vector<bool> SinkMask(const Plan& plan) {
   std::vector<bool> is_sink(plan.num_nodes(), true);
   for (const auto& n : plan.nodes()) {
     for (OpId in : n.inputs) is_sink[static_cast<size_t>(in)] = false;
   }
+  return is_sink;
+}
+
+// Applies forced values: bound operators and sinks.
+void ApplyConstraints(const Plan& plan, MaterializationConfig* config) {
+  const std::vector<bool> is_sink = SinkMask(plan);
   for (const auto& n : plan.nodes()) {
     if (n.constraint == MatConstraint::kAlwaysMaterialize) {
       config->set_materialized(n.id, true);
@@ -52,23 +58,25 @@ MaterializationConfig MaterializationConfig::AllMat(const Plan& plan) {
 
 MaterializationConfig MaterializationConfig::FromFreeMask(const Plan& plan,
                                                           uint64_t mask) {
-  MaterializationConfig c(plan.num_nodes());
-  const std::vector<OpId> free_ops = EnumerableOperators(plan);
-  for (size_t i = 0; i < free_ops.size(); ++i) {
-    if (mask & (uint64_t{1} << i)) c.set_materialized(free_ops[i], true);
-  }
-  ApplyConstraints(plan, &c);
+  // Free operators are neither bound nor sinks, so setting their bits
+  // after the forced ones equals forcing after setting them.
+  MaterializationConfig c = NoMat(plan);
+  c.SetFreeMask(EnumerableOperators(plan), mask);
   return c;
+}
+
+void MaterializationConfig::SetFreeMask(const std::vector<OpId>& free_ops,
+                                        uint64_t mask) {
+  for (size_t i = 0; i < free_ops.size(); ++i) {
+    set_materialized(free_ops[i], i < 64 && ((mask >> i) & 1));
+  }
 }
 
 Status MaterializationConfig::Validate(const Plan& plan) const {
   if (mat_.size() != plan.num_nodes()) {
     return Status::InvalidArgument("config size does not match plan");
   }
-  std::vector<bool> is_sink(plan.num_nodes(), true);
-  for (const auto& n : plan.nodes()) {
-    for (OpId in : n.inputs) is_sink[static_cast<size_t>(in)] = false;
-  }
+  const std::vector<bool> is_sink = SinkMask(plan);
   for (const auto& n : plan.nodes()) {
     const bool m = materialized(n.id);
     if (is_sink[static_cast<size_t>(n.id)] && !m) {
@@ -103,10 +111,7 @@ std::string MaterializationConfig::ToString() const {
 }
 
 std::vector<OpId> EnumerableOperators(const Plan& plan) {
-  std::vector<bool> is_sink(plan.num_nodes(), true);
-  for (const auto& n : plan.nodes()) {
-    for (OpId in : n.inputs) is_sink[static_cast<size_t>(in)] = false;
-  }
+  const std::vector<bool> is_sink = SinkMask(plan);
   std::vector<OpId> out;
   for (const auto& n : plan.nodes()) {
     if (n.is_free() && !is_sink[static_cast<size_t>(n.id)]) {

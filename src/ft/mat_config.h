@@ -43,9 +43,17 @@ class MaterializationConfig {
   /// \brief Configuration from a bitmask over the plan's *free, non-sink*
   /// operators in ascending id order (bit i == 1 -> materialize the i-th
   /// free operator). Used by the enumeration procedure; bound/sink
-  /// operators are forced as required.
+  /// operators are forced as required. NoMat(plan) with
+  /// SetFreeMask(EnumerableOperators(plan), mask).
   static MaterializationConfig FromFreeMask(const plan::Plan& plan,
                                             uint64_t mask);
+
+  /// \brief Set m(o) of each `free_ops[i]` to bit i of `mask` (0 past bit
+  /// 63); bits past free_ops.size() are ignored. Applied to NoMat(plan) with
+  /// free_ops = EnumerableOperators(plan), this is FromFreeMask: the
+  /// enumerator keeps that forced base per candidate plan and calls only
+  /// this per configuration.
+  void SetFreeMask(const std::vector<plan::OpId>& free_ops, uint64_t mask);
 
   /// \brief Check the invariants against `plan`.
   Status Validate(const plan::Plan& plan) const;

@@ -217,5 +217,54 @@ TEST(SimulatorAttemptLogTest, FullRestartLedgerUsesVirtualTime) {
   }
 }
 
+// The attempt ledger names a sub-plan "c<id>" whether or not a trace
+// recorder is attached (the trace's spans carry "c<id>:<anchor>"), so the
+// same run gives the same ledger, checkpoint segments included.
+TEST(SimulatorAttemptLogTest, LedgerIsIndependentOfTheTraceSink) {
+  const plan::Plan p = ChainPlan(30.0, 1.0, 3);
+  const cost::ClusterStats stats = cost::MakeCluster(2, 20.0, 2.0);
+  for (const RecoveryMode mode :
+       {RecoveryMode::kFineGrained, RecoveryMode::kWalReplay,
+        RecoveryMode::kFullRestart}) {
+    for (const double checkpoint_interval : {0.0, 12.0}) {
+      obs::AttemptTimeline plain, traced;
+      obs::TraceRecorder recorder;
+      SimulationOptions options;
+      options.checkpoint_interval = checkpoint_interval;
+      options.wal_write_cost = 0.2;
+      options.wal_replay_factor = 0.5;
+      options.attempt_log = &plain;
+      const ClusterSimulator without(stats, options);
+      options.attempt_log = &traced;
+      options.trace = &recorder;
+      const ClusterSimulator with(stats, options);
+      const MaterializationConfig config =
+          mode == RecoveryMode::kFullRestart
+              ? MaterializationConfig::NoMat(p)
+              : MaterializationConfig::AllMat(p);
+      ClusterTrace t1 = ClusterTrace::Generate(stats, 11);
+      ClusterTrace t2 = ClusterTrace::Generate(stats, 11);
+      auto a = without.Run(p, config, mode, t1);
+      auto b = with.Run(p, config, mode, t2);
+      ASSERT_TRUE(a.ok()) << a.status();
+      ASSERT_TRUE(b.ok()) << b.status();
+      ASSERT_GT(a->restarts, 0);
+      EXPECT_GT(recorder.num_events(), 0u);
+      ASSERT_EQ(plain.records.size(), traced.records.size());
+      for (size_t i = 0; i < plain.records.size(); ++i) {
+        const obs::AttemptRecord& x = plain.records[i];
+        const obs::AttemptRecord& y = traced.records[i];
+        EXPECT_EQ(x.label, y.label) << i;
+        EXPECT_EQ(x.node, y.node) << i;
+        EXPECT_EQ(x.attempt, y.attempt) << i;
+        EXPECT_EQ(x.dispatch_seconds, y.dispatch_seconds) << i;
+        EXPECT_EQ(x.finish_seconds, y.finish_seconds) << i;
+        EXPECT_EQ(x.killed, y.killed) << i;
+        EXPECT_EQ(x.label.find(':'), std::string::npos) << x.label;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace xdbft::cluster

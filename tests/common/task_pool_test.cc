@@ -66,16 +66,25 @@ TEST(TaskPoolTest, NoTaskLostOnShutdown) {
 
 TEST(TaskPoolTest, WorkIsStolenFromABlockedWorkersQueue) {
   TaskPool pool(4);
-  std::atomic<int> remaining{64};
-  // The first submitted task parks one worker; its queued siblings (the
-  // round-robin puts every 4th task behind it) must be stolen by the idle
-  // workers. No helping happens here because the main thread only waits.
-  for (int i = 0; i < 64; ++i) {
-    pool.Submit([&remaining, i] {
-      if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      remaining.fetch_sub(1, std::memory_order_acq_rel);
-    });
-  }
+  std::atomic<int> remaining{63};
+  // One task submits the other 63 from inside the pool, which puts them
+  // all in its own worker's queue, then blocks that worker until they are
+  // done: only the idle workers, by stealing, can run them. (Submitting
+  // from the main thread would spread them round-robin, and a worker
+  // could drain its own share before anyone steals.) No helping happens
+  // here because the main thread only waits.
+  pool.Submit([&pool, &remaining] {
+    for (int i = 0; i < 63; ++i) {
+      pool.Submit(
+          [&remaining] { remaining.fetch_sub(1, std::memory_order_acq_rel); });
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (remaining.load(std::memory_order_acquire) > 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (remaining.load(std::memory_order_acquire) > 0 &&

@@ -699,7 +699,13 @@ int main(int argc, char** argv) {
   }
 
   if (args.simulate_traces > 0) {
-    cluster::ClusterSimulator simulator(stats);
+    // Simulate under the model being checked: its CONST_pipe and its
+    // write-ahead-lineage log-write cost and replay factor.
+    cluster::SimulationOptions sim_options;
+    sim_options.pipe_constant = model.pipe_constant;
+    sim_options.wal_write_cost = model.wal_write_cost;
+    sim_options.wal_replay_factor = model.wal_replay_factor;
+    cluster::ClusterSimulator simulator(stats, sim_options);
     auto baseline = simulator.BaselineRuntime(*plan);
     auto traces = cluster::GenerateTraceSet(
         stats, args.simulate_traces, /*base_seed=*/42);
@@ -719,7 +725,6 @@ int main(int argc, char** argv) {
     if (trace_ptr != nullptr) {
       // One extra single run exports the discrete-event timeline (virtual
       // time: 1 simulated second = 1 ms) into the trace on its own pid.
-      cluster::SimulationOptions sim_options;
       sim_options.trace = trace_ptr;
       sim_options.trace_pid = 1;
       trace.SetProcessName(1, "simulator (virtual time: 1 sim s = 1 ms)");
