@@ -2,27 +2,6 @@
 
 namespace xdbft::engine {
 
-namespace {
-
-plan::OpType StageType(const std::string& label) {
-  if (label.find("Join") != std::string::npos) {
-    return plan::OpType::kHashJoin;
-  }
-  if (label.find("Agg") != std::string::npos) {
-    return plan::OpType::kHashAggregate;
-  }
-  if (label.find("TopK") != std::string::npos ||
-      label.find("Sort") != std::string::npos) {
-    return plan::OpType::kSort;
-  }
-  if (label.find("Scan") != std::string::npos) {
-    return plan::OpType::kTableScan;
-  }
-  return plan::OpType::kMapUdf;
-}
-
-}  // namespace
-
 Result<plan::Plan> BuildCalibratedPlan(const QueryExecution& execution,
                                        const cost::StorageMedium& medium,
                                        const std::string& name) {
@@ -33,7 +12,7 @@ Result<plan::Plan> BuildCalibratedPlan(const QueryExecution& execution,
   plan::OpId prev = plan::kInvalidOpId;
   for (const auto& stage : execution.stages) {
     plan::PlanNode node;
-    node.type = StageType(stage.label);
+    node.type = stage.type;
     node.label = stage.label;
     if (prev != plan::kInvalidOpId) node.inputs = {prev};
     node.runtime_cost = stage.seconds;

@@ -16,9 +16,10 @@
 namespace xdbft::engine {
 
 /// \brief Build a chain-shaped execution plan from the measured stages of
-/// `execution`: tr(o) is the slowest partition's wall time of the stage,
-/// tm(o) the cost of writing its output to `medium`. Every stage except
-/// the last is a free operator; the last is the sink.
+/// `execution`: each node's type is its stage's Stage::type, tr(o) the
+/// slowest partition's wall time of the stage, tm(o) the cost of writing
+/// its output to `medium`. Every stage except the last is a free
+/// operator; the last is the sink.
 Result<plan::Plan> BuildCalibratedPlan(const QueryExecution& execution,
                                        const cost::StorageMedium& medium,
                                        const std::string& name);

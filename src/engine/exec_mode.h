@@ -11,12 +11,14 @@ namespace xdbft::engine {
 
 enum class ExecMode : int { kRow, kVectorized };
 
-/// \brief How QueryRunner / stage-plan builders execute their plans.
+/// \brief How QueryRunner executes stage plans. A stage plan keeps its
+/// builder's `mode` and `morsel_rows` for the FT executor, which runs
+/// morsels serially inside its own pool (StagePlan::RunSerial).
 struct ExecOptions {
   ExecMode mode = ExecMode::kRow;
-  /// Worker threads per vectorized pipeline (row mode ignores it). Keep
-  /// at 1 when stage callbacks run inside another pool's tasks (the FT
-  /// executor's partition tasks): ParallelForEach is not reentrant.
+  /// Worker threads per vectorized pipeline of a QueryRunner (row mode
+  /// and StagePlan::RunSerial ignore it: ParallelForEach is not
+  /// reentrant, so tasks inside another pool's tasks stay serial).
   int num_threads = 1;
   /// Rows per morsel/batch in vectorized mode.
   size_t morsel_rows = exec::kDefaultBatchRows;

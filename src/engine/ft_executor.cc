@@ -37,35 +37,6 @@ struct SlotState {
   int attempts = 0;
 };
 
-Table Concatenate(const std::vector<SlotState>& parts) {
-  Table out;
-  for (const auto& p : parts) {
-    if (!p.output.has_value()) continue;
-    if (out.schema.num_columns() == 0) out.schema = p.output->schema;
-    out.rows.insert(out.rows.end(), p.output->rows.begin(),
-                    p.output->rows.end());
-  }
-  return out;
-}
-
-// Rows (from every producer partition) whose shuffle-key column hashes to
-// the consumer partition.
-Table ShuffleSlice(const std::vector<SlotState>& parts, int key,
-                   int partition, int n) {
-  Table out;
-  for (const auto& part : parts) {
-    if (!part.output.has_value()) continue;
-    if (out.schema.num_columns() == 0) out.schema = part.output->schema;
-    for (const auto& row : part.output->rows) {
-      if (row[static_cast<size_t>(key)].Hash() % static_cast<size_t>(n) ==
-          static_cast<size_t>(partition)) {
-        out.rows.push_back(row);
-      }
-    }
-  }
-  return out;
-}
-
 // One task attempt of the current wave. Built by the coordinator in
 // ascending (stage, slot) order; filled in by the executing thread.
 struct WaveTask {
@@ -143,38 +114,28 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
     last_record[static_cast<size_t>(s)].assign(slots_of(s), -1);
   }
 
+  const auto output = [&state](int s, int slot) -> const Table& {
+    return *state[static_cast<size_t>(s)][static_cast<size_t>(slot)].output;
+  };
+  const PlanRunner run_plan = [this](const exec::VecNodePtr& node) {
+    return plan_->RunSerial(node);
+  };
   // Runs one attempt: resolves inputs per edge mode from the current
-  // state (read-only during a wave), executes the stage, records the
-  // span on the executing worker's lane. Accounting is applied later by
-  // the coordinator, in deterministic order, at the wave barrier.
+  // state (read-only during a wave), executes the stage on the plan's
+  // serial plan runner, records the span on the executing worker's lane.
+  // Accounting is applied later by the coordinator, in deterministic
+  // order, at the wave barrier.
   auto run_attempt = [&](WaveTask& t) {
     const Stage& stage = plan_->stage(t.stage);
-    std::vector<Table> edge_storage;
-    std::vector<const Table*> input_ptrs;
-    edge_storage.reserve(stage.inputs.size());
-    for (const StageInput& in : stage.inputs) {
-      const auto& producer_state = state[static_cast<size_t>(in.stage)];
-      const Stage& producer = plan_->stage(in.stage);
-      if (producer.global) {
-        input_ptrs.push_back(&*producer_state[0].output);
-      } else if (stage.global || in.mode == EdgeMode::kBroadcast) {
-        edge_storage.push_back(Concatenate(producer_state));
-        input_ptrs.push_back(&edge_storage.back());
-      } else if (in.mode == EdgeMode::kShuffle) {
-        edge_storage.push_back(
-            ShuffleSlice(producer_state, in.shuffle_key, t.slot, n));
-        input_ptrs.push_back(&edge_storage.back());
-      } else {
-        input_ptrs.push_back(
-            &*producer_state[static_cast<size_t>(t.slot)].output);
-      }
-    }
+    std::vector<Table> scratch;
+    const std::vector<const Table*> input_ptrs =
+        plan_->ResolveInputs(t.stage, t.slot, n, output, &scratch);
 
     const double span_start_us =
         trace_ != nullptr ? trace_->NowMicros() : 0.0;
     const auto task_start = std::chrono::steady_clock::now();
     Result<Table> out =
-        stage.run(stage.global ? -1 : t.slot, input_ptrs);
+        stage.run(stage.global ? -1 : t.slot, input_ptrs, run_plan);
     t.seconds = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - task_start)
                     .count();
@@ -445,11 +406,11 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
     }
   }
 
-  if (plan_->stage(last).global) {
-    result.result = *state[static_cast<size_t>(last)][0].output;
-  } else {
-    result.result = Concatenate(state[static_cast<size_t>(last)]);
+  std::vector<const Table*> finals;
+  for (size_t slot = 0; slot < slots_of(last); ++slot) {
+    finals.push_back(&output(last, static_cast<int>(slot)));
   }
+  result.result = finals.size() == 1 ? *finals[0] : GatherRows(finals);
   const auto end = std::chrono::steady_clock::now();
   result.wall_seconds = std::chrono::duration<double>(end - start).count();
 

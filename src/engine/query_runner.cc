@@ -1,37 +1,78 @@
 #include "engine/query_runner.h"
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
+#include <thread>
 #include <utility>
-
-#include "datagen/tpch_gen.h"
-#include "engine/stage_exec.h"
 
 namespace xdbft::engine {
 
-using exec::AggFunc;
-using exec::AggSpec;
-using exec::Expr;
 using exec::Table;
-using exec::Value;
-using exec::VecNodePtr;
-using exec::VFilter;
-using exec::VHashAggregate;
-using exec::VHashJoin;
-using exec::VProject;
-using exec::VScan;
-using exec::VSort;
-
-using catalog::TpchTable;
 
 namespace {
 
-using params::kQ1ShipdateCutoff;
-using params::kQ3Date;
-using params::kQ3Segment;
-using params::kQ5Region;
-using params::kQ5YearEnd;
-using params::kQ5YearStart;
+// Run `work(p)` for every partition, filling outputs[p]; returns the
+// slowest task's wall time. Row mode runs partitions concurrently on a
+// work-stealing pool bounded by the hardware. Vectorized mode runs
+// partitions sequentially — parallelism lives inside each plan's morsel
+// pipelines instead, and nesting the two would double-subscribe cores.
+Result<double> RunStagePartitions(
+    const ExecOptions& opts, int num_partitions,
+    const std::function<Result<Table>(int)>& work,
+    std::vector<Table>* outputs) {
+  outputs->assign(static_cast<size_t>(num_partitions), Table{});
+  std::vector<Status> statuses(static_cast<size_t>(num_partitions));
+  std::vector<double> times(static_cast<size_t>(num_partitions), 0.0);
+
+  const auto run_one = [&](int p) {
+    const auto start = std::chrono::steady_clock::now();
+    Result<Table> r = work(p);
+    const auto end = std::chrono::steady_clock::now();
+    times[static_cast<size_t>(p)] =
+        std::chrono::duration<double>(end - start).count();
+    if (r.ok()) {
+      (*outputs)[static_cast<size_t>(p)] = std::move(*r);
+    } else {
+      statuses[static_cast<size_t>(p)] = r.status();
+    }
+  };
+
+  if (opts.mode == ExecMode::kVectorized) {
+    // Sequential partitions; each plan parallelizes its own morsels.
+    for (int p = 0; p < num_partitions; ++p) run_one(p);
+  } else {
+    const unsigned hc = std::thread::hardware_concurrency();
+    const int workers =
+        std::min(num_partitions, hc == 0 ? 1 : static_cast<int>(hc));
+    // The calling thread helps drain the queue, so one pool worker fewer.
+    TaskPool pool(workers > 1 ? workers - 1 : 0);
+    pool.ParallelForEach(
+        static_cast<size_t>(num_partitions),
+        [&](size_t i) { run_one(static_cast<int>(i)); });
+  }
+
+  double slowest = 0.0;
+  for (int p = 0; p < num_partitions; ++p) {
+    XDBFT_RETURN_NOT_OK(statuses[static_cast<size_t>(p)]);
+    slowest = std::max(slowest, times[static_cast<size_t>(p)]);
+  }
+  return slowest;
+}
+
+// Rough bytes/row of a table (for materialization costing).
+double EstimateRowWidth(const Table& t) {
+  if (t.rows.empty()) {
+    return 16.0 * static_cast<double>(t.schema.num_columns());
+  }
+  double bytes = 0.0;
+  for (const auto& v : t.rows[0]) {
+    bytes += v.type() == exec::ValueType::kString
+                 ? 16.0 + static_cast<double>(v.AsString().size())
+                 : 8.0;
+  }
+  return bytes;
+}
 
 }  // namespace
 
@@ -43,36 +84,26 @@ QueryRunner::QueryRunner(const PartitionedDatabase* db, ExecOptions opts)
   }
 }
 
-Result<Table> QueryRunner::Run(const exec::VecNodePtr& plan) const {
-  if (!opts_.profile) {
-    if (opts_.mode == ExecMode::kRow) {
-      const exec::OperatorPtr op = exec::ToOperator(plan);
-      return exec::Drain(op.get());
-    }
-    exec::VecExecOptions vopts;
-    vopts.num_threads = opts_.num_threads;
-    vopts.morsel_rows = opts_.morsel_rows;
-    vopts.pool = pool_.get();
-    vopts.trace = opts_.trace;
-    vopts.trace_lane_base = opts_.trace_lane_base;
-    return exec::ExecuteVectorized(plan, vopts);
-  }
+Result<Table> QueryRunner::RunNode(const exec::VecNodePtr& plan) const {
+  const bool vectorized = opts_.mode == ExecMode::kVectorized;
+  exec::VecExecOptions vopts;
+  vopts.num_threads = opts_.num_threads;
+  vopts.morsel_rows = opts_.morsel_rows;
+  vopts.pool = pool_.get();
+  vopts.trace = opts_.trace;
+  vopts.trace_lane_base = opts_.trace_lane_base;
+  if (!opts_.profile) return exec::RunPlan(plan, vectorized, vopts);
+
   obs::QueryProfile qp;
-  qp.engine = opts_.mode == ExecMode::kRow ? "row" : "vectorized";
+  qp.engine = vectorized ? "vectorized" : "row";
   const auto start = std::chrono::steady_clock::now();
   Result<Table> result = Table{};
-  if (opts_.mode == ExecMode::kRow) {
-    const exec::OperatorPtr op = exec::ToOperatorProfiled(plan, &qp.root);
-    result = exec::Drain(op.get());
-  } else {
-    exec::VecExecOptions vopts;
-    vopts.num_threads = opts_.num_threads;
-    vopts.morsel_rows = opts_.morsel_rows;
-    vopts.pool = pool_.get();
-    vopts.trace = opts_.trace;
-    vopts.trace_lane_base = opts_.trace_lane_base;
+  if (vectorized) {
     vopts.profile = &qp.root;
     result = exec::ExecuteVectorized(plan, vopts);
+  } else {
+    const exec::OperatorPtr op = exec::ToOperatorProfiled(plan, &qp.root);
+    result = exec::Drain(op.get());
   }
   qp.seconds = std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - start)
@@ -106,377 +137,70 @@ void QueryRunner::FlushStageProfiles(const std::string& label,
   out->stage_profiles.push_back(std::move(merged));
 }
 
+Result<QueryExecution> QueryRunner::RunStagePlan(
+    StagePlan (*make)(const PartitionedDatabase&, ExecOptions)) const {
+  if (db_ == nullptr) return Status::InvalidArgument("null database");
+  const StagePlan plan = make(*db_, opts_);
+  const int n = db_->num_nodes;
+  const PlanRunner run_plan = [this](const exec::VecNodePtr& node) {
+    return RunNode(node);
+  };
+  // outputs[s]: one table per partition (one for global stages).
+  std::vector<std::vector<Table>> outputs(
+      static_cast<size_t>(plan.num_stages()));
+  const auto output = [&outputs](int s, int slot) -> const Table& {
+    return outputs[static_cast<size_t>(s)][static_cast<size_t>(slot)];
+  };
+  QueryExecution out;
+  for (int s = 0; s < plan.num_stages(); ++s) {
+    const Stage& stage = plan.stage(s);
+    std::vector<Table>& stage_out = outputs[static_cast<size_t>(s)];
+    XDBFT_ASSIGN_OR_RETURN(
+        const double secs,
+        RunStagePartitions(
+            opts_, stage.global ? 1 : n,
+            [&](int slot) -> Result<Table> {
+              std::vector<Table> scratch;
+              const std::vector<const Table*> inputs =
+                  plan.ResolveInputs(s, slot, n, output, &scratch);
+              return stage.run(stage.global ? -1 : slot, inputs, run_plan);
+            },
+            &stage_out));
+    StageTiming st;
+    st.label = stage.label;
+    st.type = stage.type;
+    st.seconds = secs;
+    for (const Table& t : stage_out) st.output_rows += t.num_rows();
+    st.row_width_bytes = EstimateRowWidth(stage_out[0]);
+    out.stages.push_back(std::move(st));
+    out.total_seconds += secs;
+    FlushStageProfiles(stage.label, &out);
+  }
+  std::vector<Table>& last = outputs.back();
+  if (last.size() == 1) {
+    out.result = std::move(last[0]);
+  } else {
+    std::vector<const Table*> parts;
+    for (const Table& t : last) parts.push_back(&t);
+    out.result = GatherRows(parts);
+  }
+  return out;
+}
+
 Result<QueryExecution> QueryRunner::RunQ1() const {
-  if (db_ == nullptr) return Status::InvalidArgument("null database");
-  const auto& lineitem = db_->table(TpchTable::kLineitem);
-  const int n = db_->num_nodes;
-  QueryExecution out;
-
-  // Stage 1: partial aggregation per partition (scan+filter pipelined).
-  std::vector<Table> partials;
-  XDBFT_ASSIGN_OR_RETURN(
-      double secs,
-      RunStagePartitions(
-          opts_, n,
-          [&](int p) -> Result<Table> {
-            const Table& part = lineitem.partitions[static_cast<size_t>(p)];
-            const auto& schema = part.schema;
-            XDBFT_ASSIGN_OR_RETURN(auto shipdate,
-                                   Expr::Col(schema, "l_shipdate"));
-            XDBFT_ASSIGN_OR_RETURN(auto qty,
-                                   Expr::Col(schema, "l_quantity"));
-            XDBFT_ASSIGN_OR_RETURN(auto price,
-                                   Expr::Col(schema, "l_extendedprice"));
-            XDBFT_ASSIGN_OR_RETURN(const int rf,
-                                   schema.Find("l_returnflag"));
-            XDBFT_ASSIGN_OR_RETURN(const int ls,
-                                   schema.Find("l_linestatus"));
-            auto plan = VFilter(
-                VScan(&part),
-                exec::Le(shipdate, Expr::Lit(Value(kQ1ShipdateCutoff))));
-            plan = VHashAggregate(
-                std::move(plan), {rf, ls},
-                {{AggFunc::kSum, qty, "sum_qty"},
-                 {AggFunc::kSum, price, "sum_price"},
-                 {AggFunc::kCount, nullptr, "count_order"}});
-            return Run(plan);
-          },
-          &partials));
-  RecordStage(&out, "PartialAgg(L)", secs, partials);
-  FlushStageProfiles("PartialAgg(L)", &out);
-
-  // Stage 2: merge partials globally.
-  const auto start = std::chrono::steady_clock::now();
-  Table merged = ConcatTables(partials);
-  {
-    const auto& schema = merged.schema;
-    XDBFT_ASSIGN_OR_RETURN(auto sum_qty, Expr::Col(schema, "sum_qty"));
-    XDBFT_ASSIGN_OR_RETURN(auto sum_price, Expr::Col(schema, "sum_price"));
-    XDBFT_ASSIGN_OR_RETURN(auto cnt, Expr::Col(schema, "count_order"));
-    auto plan = VHashAggregate(
-        VScan(&merged), {0, 1},
-        {{AggFunc::kSum, sum_qty, "sum_qty"},
-         {AggFunc::kSum, sum_price, "sum_price"},
-         {AggFunc::kSum, cnt, "count_order"}});
-    plan = VSort(std::move(plan), {0, 1}, {true, true});
-    XDBFT_ASSIGN_OR_RETURN(out.result, Run(plan));
-  }
-  const auto end = std::chrono::steady_clock::now();
-  RecordStage(&out, "FinalAgg",
-              std::chrono::duration<double>(end - start).count(),
-              {out.result});
-  FlushStageProfiles("FinalAgg", &out);
-  return out;
+  return RunStagePlan(&MakeQ1StagePlan);
 }
-
 Result<QueryExecution> QueryRunner::RunQ3() const {
-  if (db_ == nullptr) return Status::InvalidArgument("null database");
-  const int n = db_->num_nodes;
-  const auto& customer = db_->table(TpchTable::kCustomer);
-  const auto& orders = db_->table(TpchTable::kOrders);
-  const auto& lineitem = db_->table(TpchTable::kLineitem);
-  QueryExecution out;
-
-  // Stage 1: sigma(C) join sigma(O) on custkey per partition. CUSTOMER is
-  // replicated (RREF), ORDERS is the partitioned probe side.
-  std::vector<Table> co;
-  XDBFT_ASSIGN_OR_RETURN(
-      double secs,
-      RunStagePartitions(
-          opts_, n,
-          [&](int p) -> Result<Table> {
-            const Table& creplica =
-                customer.partitions[static_cast<size_t>(p)];
-            const Table& opart = orders.partitions[static_cast<size_t>(p)];
-            XDBFT_ASSIGN_OR_RETURN(auto seg,
-                                   Expr::Col(creplica.schema,
-                                             "c_mktsegment"));
-            XDBFT_ASSIGN_OR_RETURN(const int ckey,
-                                   creplica.schema.Find("c_custkey"));
-            auto build = VFilter(
-                VScan(&creplica),
-                exec::Eq(seg, Expr::Lit(Value(kQ3Segment))));
-            XDBFT_ASSIGN_OR_RETURN(auto odate,
-                                   Expr::Col(opart.schema, "o_orderdate"));
-            XDBFT_ASSIGN_OR_RETURN(const int okey_cust,
-                                   opart.schema.Find("o_custkey"));
-            auto probe = VFilter(
-                VScan(&opart),
-                exec::Lt(odate, Expr::Lit(Value(kQ3Date))));
-            auto join = VHashJoin(std::move(build), std::move(probe),
-                                  {ckey}, {okey_cust});
-            // Keep (o_orderkey, o_orderdate).
-            const auto& js = join->schema;
-            XDBFT_ASSIGN_OR_RETURN(auto okey, Expr::Col(js, "o_orderkey"));
-            XDBFT_ASSIGN_OR_RETURN(auto odate2,
-                                   Expr::Col(js, "o_orderdate"));
-            auto proj = VProject(std::move(join), {okey, odate2},
-                                 {"o_orderkey", "o_orderdate"});
-            return Run(proj);
-          },
-          &co));
-  RecordStage(&out, "Join(C,O)", secs, co);
-  FlushStageProfiles("Join(C,O)", &out);
-
-  // Stage 2: join LINEITEM on orderkey (co-partitioned: local join).
-  std::vector<Table> col;
-  XDBFT_ASSIGN_OR_RETURN(
-      secs,
-      RunStagePartitions(
-          opts_, n,
-          [&](int p) -> Result<Table> {
-            const Table& build_t = co[static_cast<size_t>(p)];
-            const Table& lpart =
-                lineitem.partitions[static_cast<size_t>(p)];
-            XDBFT_ASSIGN_OR_RETURN(const int bokey,
-                                   build_t.schema.Find("o_orderkey"));
-            XDBFT_ASSIGN_OR_RETURN(auto sdate,
-                                   Expr::Col(lpart.schema, "l_shipdate"));
-            XDBFT_ASSIGN_OR_RETURN(const int lokey,
-                                   lpart.schema.Find("l_orderkey"));
-            auto probe = VFilter(
-                VScan(&lpart),
-                exec::Gt(sdate, Expr::Lit(Value(kQ3Date))));
-            auto join = VHashJoin(VScan(&build_t), std::move(probe),
-                                  {bokey}, {lokey});
-            const auto& js = join->schema;
-            XDBFT_ASSIGN_OR_RETURN(auto okey, Expr::Col(js, "l_orderkey"));
-            XDBFT_ASSIGN_OR_RETURN(auto odate,
-                                   Expr::Col(js, "o_orderdate"));
-            XDBFT_ASSIGN_OR_RETURN(auto price,
-                                   Expr::Col(js, "l_extendedprice"));
-            XDBFT_ASSIGN_OR_RETURN(auto disc,
-                                   Expr::Col(js, "l_discount"));
-            auto revenue = price * (Expr::Lit(Value(1.0)) - disc);
-            auto proj = VProject(
-                std::move(join), {okey, odate, revenue},
-                {"o_orderkey", "o_orderdate", "revenue"});
-            return Run(proj);
-          },
-          &col));
-  RecordStage(&out, "Join(CO,L)", secs, col);
-  FlushStageProfiles("Join(CO,L)", &out);
-
-  // Stage 3: aggregate per orderkey (groups are partition-local thanks to
-  // orderkey co-partitioning).
-  std::vector<Table> aggs;
-  XDBFT_ASSIGN_OR_RETURN(
-      secs,
-      RunStagePartitions(
-          opts_, n,
-          [&](int p) -> Result<Table> {
-            const Table& in = col[static_cast<size_t>(p)];
-            XDBFT_ASSIGN_OR_RETURN(auto rev,
-                                   Expr::Col(in.schema, "revenue"));
-            auto plan = VHashAggregate(
-                VScan(&in), {0, 1},
-                {{AggFunc::kSum, rev, "revenue"}});
-            return Run(plan);
-          },
-          &aggs));
-  RecordStage(&out, "Agg(orderkey)", secs, aggs);
-  FlushStageProfiles("Agg(orderkey)", &out);
-
-  // Stage 4: global top-10 by revenue.
-  const auto start = std::chrono::steady_clock::now();
-  Table merged = ConcatTables(aggs);
-  {
-    XDBFT_ASSIGN_OR_RETURN(const int rev, merged.schema.Find("revenue"));
-    auto plan = VSort(VScan(&merged), {rev}, {false}, 10);
-    XDBFT_ASSIGN_OR_RETURN(out.result, Run(plan));
-  }
-  const auto end = std::chrono::steady_clock::now();
-  RecordStage(&out, "TopK(revenue)",
-              std::chrono::duration<double>(end - start).count(),
-              {out.result});
-  FlushStageProfiles("TopK(revenue)", &out);
-  return out;
+  return RunStagePlan(&MakeQ3StagePlan);
 }
-
 Result<QueryExecution> QueryRunner::RunQ5() const {
-  if (db_ == nullptr) return Status::InvalidArgument("null database");
-  const int n = db_->num_nodes;
-  const auto& region = db_->table(TpchTable::kRegion);
-  const auto& nation = db_->table(TpchTable::kNation);
-  const auto& customer = db_->table(TpchTable::kCustomer);
-  const auto& orders = db_->table(TpchTable::kOrders);
-  const auto& lineitem = db_->table(TpchTable::kLineitem);
-  const auto& supplier = db_->table(TpchTable::kSupplier);
-  QueryExecution out;
-
-  // Stage 1: sigma(R) join N — tiny, runs once.
-  Table rn;
-  {
-    const auto start = std::chrono::steady_clock::now();
-    const Table& rrep = region.partitions[0];
-    const Table& nrep = nation.partitions[0];
-    XDBFT_ASSIGN_OR_RETURN(auto rkey,
-                           Expr::Col(rrep.schema, "r_regionkey"));
-    auto build = VFilter(VScan(&rrep),
-                         exec::Eq(rkey, Expr::Lit(Value(kQ5Region))));
-    XDBFT_ASSIGN_OR_RETURN(const int rk, rrep.schema.Find("r_regionkey"));
-    XDBFT_ASSIGN_OR_RETURN(const int nrk,
-                           nrep.schema.Find("n_regionkey"));
-    auto join = VHashJoin(std::move(build), VScan(&nrep), {rk}, {nrk});
-    const auto& js = join->schema;
-    XDBFT_ASSIGN_OR_RETURN(auto nkey, Expr::Col(js, "n_nationkey"));
-    XDBFT_ASSIGN_OR_RETURN(auto nname, Expr::Col(js, "n_name"));
-    auto proj = VProject(std::move(join), {nkey, nname},
-                         {"n_nationkey", "n_name"});
-    XDBFT_ASSIGN_OR_RETURN(rn, Run(proj));
-    const auto end = std::chrono::steady_clock::now();
-    RecordStage(&out, "Join1(R,N)",
-                std::chrono::duration<double>(end - start).count(), {rn});
-  FlushStageProfiles("Join1(R,N)", &out);
-  }
-
-  // Stage 2: join CUSTOMER (RREF slice per partition) on nationkey.
-  std::vector<Table> rnc;
-  XDBFT_ASSIGN_OR_RETURN(
-      double secs,
-      RunStagePartitions(
-          opts_, n,
-          [&](int p) -> Result<Table> {
-            const Table& crep = customer.partitions[static_cast<size_t>(p)];
-            XDBFT_ASSIGN_OR_RETURN(const int ckey_col,
-                                   crep.schema.Find("c_custkey"));
-            const Table cslice = SliceReplica(crep, ckey_col, p, n);
-            XDBFT_ASSIGN_OR_RETURN(const int nk,
-                                   rn.schema.Find("n_nationkey"));
-            XDBFT_ASSIGN_OR_RETURN(const int cnk,
-                                   cslice.schema.Find("c_nationkey"));
-            auto join = VHashJoin(VScan(&rn), VScan(&cslice), {nk}, {cnk});
-            const auto& js = join->schema;
-            XDBFT_ASSIGN_OR_RETURN(auto ckey, Expr::Col(js, "c_custkey"));
-            XDBFT_ASSIGN_OR_RETURN(auto cnat,
-                                   Expr::Col(js, "c_nationkey"));
-            XDBFT_ASSIGN_OR_RETURN(auto nname, Expr::Col(js, "n_name"));
-            auto proj = VProject(std::move(join), {ckey, cnat, nname},
-                                 {"c_custkey", "c_nationkey", "n_name"});
-            return Run(proj);
-          },
-          &rnc));
-  RecordStage(&out, "Join2(RN,C)", secs, rnc);
-  FlushStageProfiles("Join2(RN,C)", &out);
-
-  // Stage 3: broadcast RNC (shuffle emulation) and join sigma(ORDERS) on
-  // custkey per partition.
-  Table rnc_all = ConcatTables(rnc);
-  std::vector<Table> rnco;
-  XDBFT_ASSIGN_OR_RETURN(
-      secs,
-      RunStagePartitions(
-          opts_, n,
-          [&](int p) -> Result<Table> {
-            const Table& opart = orders.partitions[static_cast<size_t>(p)];
-            XDBFT_ASSIGN_OR_RETURN(auto odate,
-                                   Expr::Col(opart.schema, "o_orderdate"));
-            auto probe = VFilter(
-                VScan(&opart),
-                exec::And(exec::Ge(odate, Expr::Lit(Value(kQ5YearStart))),
-                          exec::Lt(odate, Expr::Lit(Value(kQ5YearEnd)))));
-            XDBFT_ASSIGN_OR_RETURN(const int bkey,
-                                   rnc_all.schema.Find("c_custkey"));
-            XDBFT_ASSIGN_OR_RETURN(const int pkey,
-                                   opart.schema.Find("o_custkey"));
-            auto join = VHashJoin(VScan(&rnc_all), std::move(probe),
-                                  {bkey}, {pkey});
-            const auto& js = join->schema;
-            XDBFT_ASSIGN_OR_RETURN(auto okey, Expr::Col(js, "o_orderkey"));
-            XDBFT_ASSIGN_OR_RETURN(auto cnat,
-                                   Expr::Col(js, "c_nationkey"));
-            XDBFT_ASSIGN_OR_RETURN(auto nname, Expr::Col(js, "n_name"));
-            auto proj = VProject(std::move(join), {okey, cnat, nname},
-                                 {"o_orderkey", "c_nationkey", "n_name"});
-            return Run(proj);
-          },
-          &rnco));
-  RecordStage(&out, "Join3(RNC,O)", secs, rnco);
-  FlushStageProfiles("Join3(RNC,O)", &out);
-
-  // Stage 4: join LINEITEM on orderkey (co-partitioned).
-  std::vector<Table> rncol;
-  XDBFT_ASSIGN_OR_RETURN(
-      secs,
-      RunStagePartitions(
-          opts_, n,
-          [&](int p) -> Result<Table> {
-            const Table& build_t = rnco[static_cast<size_t>(p)];
-            const Table& lpart =
-                lineitem.partitions[static_cast<size_t>(p)];
-            XDBFT_ASSIGN_OR_RETURN(const int bokey,
-                                   build_t.schema.Find("o_orderkey"));
-            XDBFT_ASSIGN_OR_RETURN(const int lokey,
-                                   lpart.schema.Find("l_orderkey"));
-            auto join = VHashJoin(VScan(&build_t), VScan(&lpart),
-                                  {bokey}, {lokey});
-            const auto& js = join->schema;
-            XDBFT_ASSIGN_OR_RETURN(auto skey, Expr::Col(js, "l_suppkey"));
-            XDBFT_ASSIGN_OR_RETURN(auto price,
-                                   Expr::Col(js, "l_extendedprice"));
-            XDBFT_ASSIGN_OR_RETURN(auto disc, Expr::Col(js, "l_discount"));
-            XDBFT_ASSIGN_OR_RETURN(auto cnat,
-                                   Expr::Col(js, "c_nationkey"));
-            XDBFT_ASSIGN_OR_RETURN(auto nname, Expr::Col(js, "n_name"));
-            auto revenue = price * (Expr::Lit(Value(1.0)) - disc);
-            auto proj = VProject(
-                std::move(join), {skey, cnat, nname, revenue},
-                {"l_suppkey", "c_nationkey", "n_name", "revenue"});
-            return Run(proj);
-          },
-          &rncol));
-  RecordStage(&out, "Join4(RNCO,L)", secs, rncol);
-  FlushStageProfiles("Join4(RNCO,L)", &out);
-
-  // Stage 5: join SUPPLIER on suppkey + supplier-nation filter.
-  std::vector<Table> rncols;
-  XDBFT_ASSIGN_OR_RETURN(
-      secs,
-      RunStagePartitions(
-          opts_, n,
-          [&](int p) -> Result<Table> {
-            const Table& srep = supplier.partitions[static_cast<size_t>(p)];
-            const Table& probe_t = rncol[static_cast<size_t>(p)];
-            XDBFT_ASSIGN_OR_RETURN(const int skey,
-                                   srep.schema.Find("s_suppkey"));
-            XDBFT_ASSIGN_OR_RETURN(const int pkey,
-                                   probe_t.schema.Find("l_suppkey"));
-            auto join = VHashJoin(VScan(&srep), VScan(&probe_t),
-                                  {skey}, {pkey});
-            const auto& js = join->schema;
-            XDBFT_ASSIGN_OR_RETURN(auto snat,
-                                   Expr::Col(js, "s_nationkey"));
-            XDBFT_ASSIGN_OR_RETURN(auto cnat,
-                                   Expr::Col(js, "c_nationkey"));
-            auto filt = VFilter(std::move(join), exec::Eq(snat, cnat));
-            const auto& fs = filt->schema;
-            XDBFT_ASSIGN_OR_RETURN(auto nname, Expr::Col(fs, "n_name"));
-            XDBFT_ASSIGN_OR_RETURN(auto rev, Expr::Col(fs, "revenue"));
-            auto proj = VProject(std::move(filt), {nname, rev},
-                                 {"n_name", "revenue"});
-            return Run(proj);
-          },
-          &rncols));
-  RecordStage(&out, "Join5(RNCOL,S)", secs, rncols);
-  FlushStageProfiles("Join5(RNCOL,S)", &out);
-
-  // Stage 6: aggregate revenue per nation (partial + merge).
-  const auto start = std::chrono::steady_clock::now();
-  Table merged = ConcatTables(rncols);
-  {
-    XDBFT_ASSIGN_OR_RETURN(auto rev, Expr::Col(merged.schema, "revenue"));
-    auto plan = VHashAggregate(VScan(&merged), {0},
-                               {{AggFunc::kSum, rev, "revenue"}});
-    XDBFT_ASSIGN_OR_RETURN(const int revc, plan->schema.Find("revenue"));
-    plan = VSort(std::move(plan), {revc}, {false});
-    XDBFT_ASSIGN_OR_RETURN(out.result, Run(plan));
-  }
-  const auto end = std::chrono::steady_clock::now();
-  RecordStage(&out, "Agg(nation)",
-              std::chrono::duration<double>(end - start).count(),
-              {out.result});
-  FlushStageProfiles("Agg(nation)", &out);
-  return out;
+  return RunStagePlan(&MakeQ5StagePlan);
+}
+Result<QueryExecution> QueryRunner::RunQ1C() const {
+  return RunStagePlan(&MakeQ1CStagePlan);
+}
+Result<QueryExecution> QueryRunner::RunQ2C() const {
+  return RunStagePlan(&MakeQ2CStagePlan);
 }
 
 }  // namespace xdbft::engine

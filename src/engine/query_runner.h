@@ -1,9 +1,10 @@
-// Partition-parallel execution of the benchmark queries over a
-// PartitionedDatabase, organized in *stages* (sub-plans): each stage runs
-// on every partition in parallel and materializes its output, exactly the
-// granularity at which the paper's XDB middleware splits plans for
-// fault-tolerant execution. Per-stage wall-clock timings feed the cost
-// calibrator (the paper's "perfect cost estimates", §5.1).
+// Failure-free, partition-parallel execution of stage plans over a
+// PartitionedDatabase: QueryRunner runs a StagePlan (stage_plan.h — the one
+// definition of each benchmark query) stage by stage; each stage runs on
+// every partition and materializes its output, exactly the granularity at
+// which the paper's XDB middleware splits plans for fault-tolerant
+// execution. Per-stage wall-clock timings feed the cost calibrator (the
+// paper's "perfect cost estimates", §5.1).
 #pragma once
 
 #include <memory>
@@ -15,25 +16,16 @@
 #include "common/task_pool.h"
 #include "engine/exec_mode.h"
 #include "engine/partitioned_table.h"
+#include "engine/stage_plan.h"
 #include "obs/query_profile.h"
 
 namespace xdbft::engine {
 
-/// \brief Fixed query parameters (exported so tests and examples can
-/// compute reference results against the same predicates).
-namespace params {
-inline constexpr int64_t kQ1ShipdateCutoff =
-    datagen::kDateRangeDays - 52;  // ~98% of the window
-inline constexpr int64_t kQ3Date = datagen::kDateRangeDays / 2;
-inline constexpr const char* kQ3Segment = "BUILDING";
-inline constexpr int64_t kQ5Region = 3;  // EUROPE
-inline constexpr int64_t kQ5YearStart = 3 * 365;
-inline constexpr int64_t kQ5YearEnd = 4 * 365;
-}  // namespace params
-
 /// \brief Measured statistics of one executed stage.
 struct StageTiming {
   std::string label;
+  /// Operator type of the stage (Stage::type).
+  plan::OpType type = plan::OpType::kMapUdf;
   /// Wall-clock seconds for the slowest partition of this stage.
   double seconds = 0.0;
   /// Rows produced across all partitions.
@@ -52,42 +44,35 @@ struct QueryExecution {
   std::vector<obs::QueryProfile> stage_profiles;
 };
 
-/// \brief Runs TPC-H Q1/Q3/Q5 partition-parallel over the distributed
-/// database. Row mode executes partitions concurrently within each stage;
-/// vectorized mode runs each partition's plan on the morsel-driven
-/// pipeline engine instead (bit-identical results, any thread count).
+/// \brief Runs stage plans failure-free over the distributed database:
+/// stages in order, each stage's tasks on the runner's engine. Row mode
+/// executes a stage's partitions concurrently; vectorized mode runs them
+/// one after another, each plan on the morsel-driven pipeline engine
+/// (bit-identical results, any thread count).
 class QueryRunner {
  public:
   explicit QueryRunner(const PartitionedDatabase* db, ExecOptions opts = {});
 
-  /// \brief Q1: scan+filter LINEITEM, aggregate by (returnflag,
-  /// linestatus).
+  /// \brief The benchmark queries, each its Make<Q>StagePlan (stage_plan.h)
+  /// run stage by stage; the result is the last stage's output.
   Result<QueryExecution> RunQ1() const;
-
-  /// \brief Q3: customer-segment orders joined with lineitems; top-10
-  /// revenue per order.
   Result<QueryExecution> RunQ3() const;
-
-  /// \brief Q5: revenue per nation for one region and one order year
-  /// (Fig. 9's plan shape).
   Result<QueryExecution> RunQ5() const;
-
-  /// \brief Q1C (paper §5.2): nested Q1 — the inner aggregation computes
-  /// per-group average prices, the outer query re-joins LINEITEM and
-  /// counts the items priced above their group's average. The plan has an
-  /// aggregation in the middle (the natural cheap checkpoint).
   Result<QueryExecution> RunQ1C() const;
-
-  /// \brief Q2C (paper §5.2): DAG-structured variant of Q2 — the inner
-  /// min-supplycost-per-part aggregation is a CTE consumed by two outer
-  /// queries with different part filters.
   Result<QueryExecution> RunQ2C() const;
 
  private:
-  /// \brief Execute one plan on the engine selected by the options (row:
-  /// ToOperator + Drain; vectorized: morsel pipelines on pool_). With
-  /// profiling on, appends the plan's profile to pending_profiles_.
-  Result<exec::Table> Run(const exec::VecNodePtr& plan) const;
+  /// \brief Build the stage plan with `make` and run it failure-free,
+  /// stages in order, recording one StageTiming and (with profiling on)
+  /// one merged profile per stage.
+  Result<QueryExecution> RunStagePlan(
+      StagePlan (*make)(const PartitionedDatabase&, ExecOptions)) const;
+
+  /// \brief The runner's plan runner: executes one plan on the engine
+  /// selected by the options (row: ToOperator + Drain; vectorized: morsel
+  /// pipelines on pool_). With profiling on, appends the plan's profile
+  /// to pending_profiles_.
+  Result<exec::Table> RunNode(const exec::VecNodePtr& plan) const;
 
   /// \brief Merge every pending per-partition profile of the stage that
   /// just finished into one labeled QueryProfile on `out`. No-op unless

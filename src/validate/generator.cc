@@ -134,7 +134,8 @@ engine::StagePlan RandomStagePlan(Rng& rng, const StageGenOptions& opts) {
       stage.type = plan::OpType::kTableScan;
       stage.run = [rows, stage_idx](
                       int partition,
-                      const std::vector<const exec::Table*>&)
+                      const std::vector<const exec::Table*>&,
+                      const engine::PlanRunner&)
           -> Result<exec::Table> {
         exec::Table out;
         out.schema = SyntheticSchema();
@@ -185,7 +186,8 @@ engine::StagePlan RandomStagePlan(Rng& rng, const StageGenOptions& opts) {
     // row count across stages.
     const int stage_idx = i;
     stage.run = [stage_idx](int partition,
-                            const std::vector<const exec::Table*>& inputs)
+                            const std::vector<const exec::Table*>& inputs,
+                            const engine::PlanRunner&)
         -> Result<exec::Table> {
       exec::Table out;
       out.schema = SyntheticSchema();

@@ -98,13 +98,21 @@ TEST(TaskPoolTest, WorkIsStolenFromABlockedWorkersQueue) {
 
 TEST(TaskPoolTest, FullQueuesFallBackToInlineExecutionNotLoss) {
   TaskPool pool(1, /*queue_capacity=*/2);
+  std::atomic<bool> started{false};
   std::atomic<bool> release{false};
   std::atomic<int> count{0};
   pool.Submit([&] {
+    started.store(true, std::memory_order_release);
     while (!release.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
+  // Wait until the worker has taken the parking task off its queue: the
+  // worker pops its own queue LIFO, so a parking task still queued would
+  // let it run the counting tasks instead of parking.
+  while (!started.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   // Worker is parked; the 2-slot queue fills and the rest run inline.
   for (int i = 0; i < 10; ++i) {
     pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });

@@ -5,6 +5,7 @@
 
 #include "engine/ft_executor.h"
 #include "engine/query_runner.h"
+#include "tpch_reference.h"
 
 namespace xdbft::engine {
 namespace {
@@ -54,41 +55,39 @@ TEST(StagePlanTest, ValidatesAndBuildsSkeleton) {
   EXPECT_EQ(bound, 3);
 }
 
-TEST(FtExecutorTest, FailureFreeMatchesQueryRunnerQ1) {
+// The failure-free executor against the single-node reference loops (an
+// oracle independent of the stage plans both drivers run).
+TEST(FtExecutorTest, FailureFreeMatchesReferenceQ1) {
   const Fixture& f = GetFixture();
   const StagePlan plan = MakeQ1StagePlan(f.pd);
   FaultTolerantExecutor executor(&plan, &f.pd);
   auto r = executor.Execute(
       ft::MaterializationConfig::AllMat(plan.ToPlanSkeleton()));
   ASSERT_TRUE(r.ok()) << r.status();
-  QueryRunner runner(&f.pd);
-  auto reference = runner.RunQ1();
-  ASSERT_TRUE(reference.ok());
-  EXPECT_TRUE(TablesEqual(r->result, reference->result.rows.empty()
-                                         ? r->result
-                                         : reference->result));
+  ExpectMatchesReferenceQ1(r->result, f.db);
   EXPECT_EQ(r->failures_injected, 0);
   EXPECT_EQ(r->recovery_executions, 0);
 }
 
-TEST(FtExecutorTest, FailureFreeMatchesQueryRunnerQ5) {
+TEST(FtExecutorTest, FailureFreeMatchesReferenceQ5) {
   const Fixture& f = GetFixture();
   const StagePlan plan = MakeQ5StagePlan(f.pd);
   FaultTolerantExecutor executor(&plan, &f.pd);
   auto r = executor.Execute(
       ft::MaterializationConfig::AllMat(plan.ToPlanSkeleton()));
   ASSERT_TRUE(r.ok()) << r.status();
-  QueryRunner runner(&f.pd);
-  auto reference = runner.RunQ5();
-  ASSERT_TRUE(reference.ok());
-  EXPECT_TRUE(TablesEqual(r->result, reference->result));
+  ExpectMatchesReferenceQ5(r->result, f.db);
 }
 
-TEST(FtExecutorTest, RecoversFromSingleFailureAllConfigs) {
-  // Inject one failure into a mid-plan stage on one partition and check
-  // the result is identical for every materialization configuration.
+// Inject one failure into a mid-plan partitioned stage on one partition
+// and check the result is identical for every materialization
+// configuration.
+void ExpectRecoversFromSingleFailure(
+    StagePlan (*make)(const PartitionedDatabase&, ExecOptions),
+    int victim_stage) {
   const Fixture& f = GetFixture();
-  const StagePlan plan = MakeQ5StagePlan(f.pd);
+  const StagePlan plan = make(f.pd, ExecOptions{});
+  ASSERT_FALSE(plan.stage(victim_stage).global) << plan.name();
   const plan::Plan skeleton = plan.ToPlanSkeleton();
   FaultTolerantExecutor executor(&plan, &f.pd);
   auto clean = executor.Execute(ft::MaterializationConfig::AllMat(skeleton));
@@ -99,13 +98,29 @@ TEST(FtExecutorTest, RecoversFromSingleFailureAllConfigs) {
   for (uint64_t mask = 0; mask < num_configs; ++mask) {
     const auto config =
         ft::MaterializationConfig::FromFreeMask(skeleton, mask);
-    ScriptedInjector injector({{4, 1}});  // Join4 on partition 1
+    ScriptedInjector injector({{victim_stage, 1}});
     auto r = executor.Execute(config, &injector);
     ASSERT_TRUE(r.ok()) << "mask=" << mask << ": " << r.status();
     EXPECT_TRUE(TablesEqual(r->result, clean->result)) << "mask=" << mask;
     EXPECT_EQ(r->failures_injected, 1) << "mask=" << mask;
     EXPECT_GE(r->recovery_executions, 1) << "mask=" << mask;
   }
+}
+
+TEST(FtExecutorTest, RecoversFromSingleFailureAllConfigs) {
+  ExpectRecoversFromSingleFailure(&MakeQ5StagePlan, 4);  // Join4
+}
+
+TEST(FtExecutorTest, RecoversFromSingleFailureAllConfigsQ3) {
+  ExpectRecoversFromSingleFailure(&MakeQ3StagePlan, 1);  // Join(CO,L)
+}
+
+TEST(FtExecutorTest, RecoversFromSingleFailureAllConfigsQ1C) {
+  ExpectRecoversFromSingleFailure(&MakeQ1CStagePlan, 2);  // Join(L,avg)
+}
+
+TEST(FtExecutorTest, RecoversFromSingleFailureAllConfigsQ2C) {
+  ExpectRecoversFromSingleFailure(&MakeQ2CStagePlan, 3);  // Outer2Join
 }
 
 TEST(FtExecutorTest, MaterializationLimitsRecoveryWork) {

@@ -39,7 +39,8 @@ StagePlan TwoInputPlan(const PartitionedDatabase& db) {
   Stage fo;
   fo.label = "FilterO";
   fo.type = plan::OpType::kFilter;
-  fo.run = [orders](int p, const std::vector<const Table*>&)
+  fo.run = [orders](int p, const std::vector<const Table*>&,
+                    const PlanRunner&)
       -> Result<Table> {
     const Table& part = orders->partitions[static_cast<size_t>(p)];
     XDBFT_ASSIGN_OR_RETURN(auto odate,
@@ -54,7 +55,8 @@ StagePlan TwoInputPlan(const PartitionedDatabase& db) {
   Stage fl;
   fl.label = "FilterL";
   fl.type = plan::OpType::kFilter;
-  fl.run = [lineitem](int p, const std::vector<const Table*>&)
+  fl.run = [lineitem](int p, const std::vector<const Table*>&,
+                      const PlanRunner&)
       -> Result<Table> {
     const Table& part = lineitem->partitions[static_cast<size_t>(p)];
     XDBFT_ASSIGN_OR_RETURN(auto qty, Expr::Col(part.schema, "l_quantity"));
@@ -69,7 +71,8 @@ StagePlan TwoInputPlan(const PartitionedDatabase& db) {
   join.label = "Join(O,L)";
   join.type = plan::OpType::kHashJoin;
   join.inputs = {s_o, s_l};  // two same-partition edges
-  join.run = [](int, const std::vector<const Table*>& inputs)
+  join.run = [](int, const std::vector<const Table*>& inputs,
+                const PlanRunner&)
       -> Result<Table> {
     const Table& o = *inputs[0];
     const Table& l = *inputs[1];
@@ -86,7 +89,8 @@ StagePlan TwoInputPlan(const PartitionedDatabase& db) {
   count.type = plan::OpType::kHashAggregate;
   count.global = true;
   count.inputs = {s_join};
-  count.run = [](int, const std::vector<const Table*>& inputs)
+  count.run = [](int, const std::vector<const Table*>& inputs,
+                 const PlanRunner&)
       -> Result<Table> {
     auto op = exec::MakeHashAggregate(
         exec::MakeScan(inputs[0]), {},

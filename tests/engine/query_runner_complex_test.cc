@@ -5,12 +5,10 @@
 #include <set>
 
 #include "engine/query_runner.h"
+#include "tpch_reference.h"
 
 namespace xdbft::engine {
 namespace {
-
-using catalog::TpchTable;
-using exec::Value;
 
 struct Fixture {
   datagen::TpchDatabase db;
@@ -29,40 +27,12 @@ const Fixture& GetFixture() {
   return *fixture;
 }
 
-// Q1C reference: per (returnflag, linestatus), count items above the
-// group's average extended price (within the shipdate window).
-std::map<std::pair<std::string, std::string>, int64_t> ReferenceQ1C(
-    const datagen::TpchDatabase& db) {
-  std::map<std::pair<std::string, std::string>, std::pair<double, int64_t>>
-      sums;
-  for (const auto& row : db.lineitem.rows) {
-    if (row[10].AsInt64() > params::kQ1ShipdateCutoff) continue;
-    auto& [sum, cnt] = sums[{row[8].AsString(), row[9].AsString()}];
-    sum += row[5].AsDouble();
-    ++cnt;
-  }
-  std::map<std::pair<std::string, std::string>, int64_t> counts;
-  for (const auto& row : db.lineitem.rows) {
-    if (row[10].AsInt64() > params::kQ1ShipdateCutoff) continue;
-    const auto key = std::make_pair(row[8].AsString(), row[9].AsString());
-    const auto& [sum, cnt] = sums[key];
-    if (row[5].AsDouble() > sum / static_cast<double>(cnt)) ++counts[key];
-  }
-  return counts;
-}
-
 TEST(Q1CTest, MatchesReference) {
   const Fixture& f = GetFixture();
   QueryRunner runner(&f.pd);
   auto result = runner.RunQ1C();
   ASSERT_TRUE(result.ok()) << result.status();
-  const auto ref = ReferenceQ1C(f.db);
-  ASSERT_EQ(result->result.num_rows(), ref.size());
-  for (const auto& row : result->result.rows) {
-    const auto it = ref.find({row[0].AsString(), row[1].AsString()});
-    ASSERT_NE(it, ref.end());
-    EXPECT_EQ(row[2].AsInt64(), it->second);
-  }
+  ExpectMatchesReferenceQ1C(result->result, f.db);
 }
 
 TEST(Q1CTest, HasAggregationInTheMiddle) {
@@ -70,45 +40,18 @@ TEST(Q1CTest, HasAggregationInTheMiddle) {
   QueryRunner runner(&f.pd);
   auto result = runner.RunQ1C();
   ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->stages.size(), 3u);
-  EXPECT_EQ(result->stages[0].label, "InnerAgg(avg_price)");
+  // The inner aggregation is its per-partition partials plus a global
+  // merge; the outer query re-joins LINEITEM and counts.
+  ASSERT_EQ(result->stages.size(), 4u);
+  EXPECT_EQ(result->stages[0].label, "InnerPartialAgg(L)");
+  EXPECT_EQ(result->stages[1].label, "InnerAgg(avg_price)");
+  EXPECT_EQ(result->stages[2].label, "Join(L,avg)");
+  EXPECT_EQ(result->stages[3].label, "Agg(count_by_status)");
   // The mid-plan aggregation output is tiny — the paper's cheap
   // checkpoint.
-  EXPECT_LT(result->stages[0].output_rows, 10u);
-  EXPECT_GT(result->stages[1].output_rows,
-            100 * result->stages[0].output_rows);
-}
-
-// Q2C reference: min supplycost per part of the filtered type; outer i
-// keeps (part, supplier) pairs achieving the min, split by retail price.
-struct Q2CReference {
-  std::set<std::pair<int64_t, int64_t>> outer1;  // (partkey, suppkey)
-  std::set<std::pair<int64_t, int64_t>> outer2;
-};
-
-Q2CReference ReferenceQ2C(const datagen::TpchDatabase& db) {
-  std::map<int64_t, std::pair<std::string, double>> part_info;
-  for (const auto& row : db.part.rows) {
-    part_info[row[0].AsInt64()] = {row[2].AsString(), row[3].AsDouble()};
-  }
-  std::map<int64_t, double> min_cost;
-  for (const auto& row : db.partsupp.rows) {
-    const auto& [type, price] = part_info[row[0].AsInt64()];
-    if (type < "STANDARD" || type >= "STANDARE") continue;
-    auto it = min_cost.find(row[0].AsInt64());
-    if (it == min_cost.end() || row[2].AsDouble() < it->second) {
-      min_cost[row[0].AsInt64()] = row[2].AsDouble();
-    }
-  }
-  Q2CReference ref;
-  for (const auto& row : db.partsupp.rows) {
-    const auto it = min_cost.find(row[0].AsInt64());
-    if (it == min_cost.end() || row[2].AsDouble() != it->second) continue;
-    const double price = part_info[row[0].AsInt64()].second;
-    auto& target = price < 1400.0 ? ref.outer1 : ref.outer2;
-    target.insert({row[0].AsInt64(), row[1].AsInt64()});
-  }
-  return ref;
+  EXPECT_LT(result->stages[1].output_rows, 10u);
+  EXPECT_GT(result->stages[2].output_rows,
+            100 * result->stages[1].output_rows);
 }
 
 TEST(Q2CTest, ResultsAreMinCostPairs) {
@@ -117,11 +60,18 @@ TEST(Q2CTest, ResultsAreMinCostPairs) {
   auto result = runner.RunQ2C();
   ASSERT_TRUE(result.ok()) << result.status();
   const Q2CReference ref = ReferenceQ2C(f.db);
-  ASSERT_EQ(result->stages.size(), 3u);
+  // The CTE feeds two outer join+top-k pairs; a global union closes.
+  ASSERT_EQ(result->stages.size(), 6u);
+  EXPECT_EQ(result->stages[0].label, "CTE(min_supplycost)");
+  EXPECT_EQ(result->stages[1].label, "Outer1Join");
+  EXPECT_EQ(result->stages[2].label, "Outer1TopK");
+  EXPECT_EQ(result->stages[3].label, "Outer2Join");
+  EXPECT_EQ(result->stages[4].label, "Outer2TopK");
+  EXPECT_EQ(result->stages[5].label, "Union(Outer1,Outer2)");
   // Outer results are capped at 100 rows each and must be subsets of the
   // reference pair sets.
-  const size_t n1 = result->stages[1].output_rows;
-  const size_t n2 = result->stages[2].output_rows;
+  const size_t n1 = result->stages[2].output_rows;
+  const size_t n2 = result->stages[4].output_rows;
   EXPECT_EQ(n1, std::min<size_t>(100, ref.outer1.size()));
   EXPECT_EQ(n2, std::min<size_t>(100, ref.outer2.size()));
   for (size_t i = 0; i < result->result.num_rows(); ++i) {
@@ -141,7 +91,8 @@ TEST(Q2CTest, OuterResultsSortedBySupplycost) {
   QueryRunner runner(&f.pd);
   auto result = runner.RunQ2C();
   ASSERT_TRUE(result.ok());
-  const size_t n1 = result->stages[1].output_rows;
+  ASSERT_EQ(result->stages.size(), 6u);
+  const size_t n1 = result->stages[2].output_rows;
   double prev = -1.0;
   for (size_t i = 0; i < n1; ++i) {
     const double c = result->result.rows[i][2].AsDouble();

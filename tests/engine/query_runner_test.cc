@@ -6,12 +6,10 @@
 #include <map>
 
 #include "engine/cost_calibrator.h"
+#include "tpch_reference.h"
 
 namespace xdbft::engine {
 namespace {
-
-using catalog::TpchTable;
-using exec::Value;
 
 struct Fixture {
   datagen::TpchDatabase db;
@@ -31,80 +29,12 @@ const Fixture& GetFixture() {
   return *fixture;
 }
 
-// ---- single-node reference computations ----
-
-// Q1 reference: group lineitem rows passing the shipdate filter by
-// (returnflag, linestatus), summing qty/price and counting.
-std::map<std::pair<std::string, std::string>, std::tuple<double, double, int64_t>>
-ReferenceQ1(const datagen::TpchDatabase& db) {
-  std::map<std::pair<std::string, std::string>,
-           std::tuple<double, double, int64_t>>
-      groups;
-  for (const auto& row : db.lineitem.rows) {
-    if (row[10].AsInt64() > params::kQ1ShipdateCutoff) continue;
-    auto& [qty, price, cnt] =
-        groups[{row[8].AsString(), row[9].AsString()}];
-    qty += row[4].AsDouble();
-    price += row[5].AsDouble();
-    ++cnt;
-  }
-  return groups;
-}
-
-// Q5 reference: revenue per nation name.
-std::map<std::string, double> ReferenceQ5(const datagen::TpchDatabase& db) {
-  std::map<int64_t, int64_t> cust_nation;
-  for (const auto& row : db.customer.rows) {
-    cust_nation[row[0].AsInt64()] = row[2].AsInt64();
-  }
-  std::map<int64_t, int64_t> supp_nation;
-  for (const auto& row : db.supplier.rows) {
-    supp_nation[row[0].AsInt64()] = row[2].AsInt64();
-  }
-  std::map<int64_t, std::string> nation_name;
-  std::set<int64_t> region_nations;
-  for (const auto& row : db.nation.rows) {
-    nation_name[row[0].AsInt64()] = row[1].AsString();
-    if (row[2].AsInt64() == params::kQ5Region) {
-      region_nations.insert(row[0].AsInt64());
-    }
-  }
-  std::map<int64_t, std::pair<int64_t, bool>> order_info;  // cust, in-range
-  for (const auto& row : db.orders.rows) {
-    const int64_t d = row[2].AsInt64();
-    order_info[row[0].AsInt64()] = {
-        row[1].AsInt64(),
-        d >= params::kQ5YearStart && d < params::kQ5YearEnd};
-  }
-  std::map<std::string, double> revenue;
-  for (const auto& row : db.lineitem.rows) {
-    const auto& [cust, in_range] = order_info[row[0].AsInt64()];
-    if (!in_range) continue;
-    const int64_t cnat = cust_nation[cust];
-    if (!region_nations.count(cnat)) continue;
-    if (supp_nation[row[3].AsInt64()] != cnat) continue;
-    revenue[nation_name[cnat]] +=
-        row[5].AsDouble() * (1.0 - row[6].AsDouble());
-  }
-  return revenue;
-}
-
 TEST(QueryRunnerTest, Q1MatchesReference) {
   const Fixture& f = GetFixture();
   QueryRunner runner(&f.pd);
   auto result = runner.RunQ1();
   ASSERT_TRUE(result.ok()) << result.status();
-  const auto ref = ReferenceQ1(f.db);
-  ASSERT_EQ(result->result.num_rows(), ref.size());
-  for (const auto& row : result->result.rows) {
-    const auto it = ref.find({row[0].AsString(), row[1].AsString()});
-    ASSERT_NE(it, ref.end());
-    const auto& [qty, price, cnt] = it->second;
-    EXPECT_NEAR(row[2].AsDouble(), qty, std::fabs(qty) * 1e-9);
-    EXPECT_NEAR(row[3].AsDouble(), price, std::fabs(price) * 1e-9);
-    // The merge phase sums partial counts with SUM, which is double-typed.
-    EXPECT_DOUBLE_EQ(row[4].AsDouble(), static_cast<double>(cnt));
-  }
+  ExpectMatchesReferenceQ1(result->result, f.db);
 }
 
 TEST(QueryRunnerTest, Q1RecordsStages) {
@@ -135,6 +65,8 @@ TEST(QueryRunnerTest, Q3ReturnsTopTenByRevenue) {
     prev = r;
   }
   EXPECT_EQ(result->stages.size(), 4u);
+  // The rows are the reference's ten highest-revenue orders, in order.
+  ExpectMatchesReferenceQ3(result->result, f.db);
 }
 
 TEST(QueryRunnerTest, Q3TopRevenueMatchesReference) {
@@ -176,14 +108,7 @@ TEST(QueryRunnerTest, Q5MatchesReference) {
   QueryRunner runner(&f.pd);
   auto result = runner.RunQ5();
   ASSERT_TRUE(result.ok()) << result.status();
-  const auto ref = ReferenceQ5(f.db);
-  ASSERT_EQ(result->result.num_rows(), ref.size());
-  for (const auto& row : result->result.rows) {
-    const auto it = ref.find(row[0].AsString());
-    ASSERT_NE(it, ref.end()) << row[0].AsString();
-    EXPECT_NEAR(row[1].AsDouble(), it->second,
-                std::fabs(it->second) * 1e-9);
-  }
+  ExpectMatchesReferenceQ5(result->result, f.db);
 }
 
 TEST(QueryRunnerTest, Q5HasFigureNineStages) {
@@ -191,10 +116,13 @@ TEST(QueryRunnerTest, Q5HasFigureNineStages) {
   QueryRunner runner(&f.pd);
   auto result = runner.RunQ5();
   ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->stages.size(), 6u);
+  // Fig. 9's five joins and the final aggregation, with the customer side
+  // broadcast (an exchange stage) before Join3.
+  ASSERT_EQ(result->stages.size(), 7u);
   EXPECT_EQ(result->stages[0].label, "Join1(R,N)");
-  EXPECT_EQ(result->stages[4].label, "Join5(RNCOL,S)");
-  EXPECT_EQ(result->stages[5].label, "Agg(nation)");
+  EXPECT_EQ(result->stages[2].label, "Broadcast(RNC)");
+  EXPECT_EQ(result->stages[5].label, "Join5(RNCOL,S)");
+  EXPECT_EQ(result->stages[6].label, "Agg(nation)");
 }
 
 TEST(QueryRunnerTest, RejectsNullDatabase) {
@@ -241,6 +169,40 @@ TEST(CostCalibratorTest, BuildsChainPlanFromStages) {
   // All but the sink are free.
   const auto free_ops = plan->FreeOperators();
   EXPECT_EQ(free_ops.size(), plan->num_nodes());
+}
+
+TEST(CostCalibratorTest, NodeTypesComeFromStagePlans) {
+  // Each calibrated node takes its stage's Stage::type: Q1 and Q3 get the
+  // types their labels always implied, Q5's exchange stage is a
+  // repartition.
+  using plan::OpType;
+  const Fixture& f = GetFixture();
+  QueryRunner runner(&f.pd);
+  const std::pair<Result<QueryExecution> (QueryRunner::*)() const,
+                  std::vector<OpType>>
+      cases[] = {
+          {&QueryRunner::RunQ1,
+           {OpType::kHashAggregate, OpType::kHashAggregate}},
+          {&QueryRunner::RunQ3,
+           {OpType::kHashJoin, OpType::kHashJoin, OpType::kHashAggregate,
+            OpType::kSort}},
+          {&QueryRunner::RunQ5,
+           {OpType::kHashJoin, OpType::kHashJoin, OpType::kRepartition,
+            OpType::kHashJoin, OpType::kHashJoin, OpType::kHashJoin,
+            OpType::kHashAggregate}},
+      };
+  for (const auto& [run, types] : cases) {
+    auto execution = (runner.*run)();
+    ASSERT_TRUE(execution.ok()) << execution.status();
+    auto plan = BuildCalibratedPlan(*execution, cost::ExternalIscsiStorage(),
+                                    "calibrated");
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    ASSERT_EQ(plan->num_nodes(), types.size());
+    for (size_t i = 0; i < types.size(); ++i) {
+      EXPECT_EQ(plan->node(static_cast<plan::OpId>(i)).type, types[i])
+          << plan->node(static_cast<plan::OpId>(i)).label;
+    }
+  }
 }
 
 TEST(CostCalibratorTest, ScalePlanMultipliesCosts) {

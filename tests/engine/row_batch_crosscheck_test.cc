@@ -117,8 +117,20 @@ TEST(RowBatchCrosscheckTest, FtExecutorQ1StagePlan) {
   ExpectStagePlanBitIdentical(&MakeQ1StagePlan);
 }
 
+TEST(RowBatchCrosscheckTest, FtExecutorQ3StagePlan) {
+  ExpectStagePlanBitIdentical(&MakeQ3StagePlan);
+}
+
 TEST(RowBatchCrosscheckTest, FtExecutorQ5StagePlan) {
   ExpectStagePlanBitIdentical(&MakeQ5StagePlan);
+}
+
+TEST(RowBatchCrosscheckTest, FtExecutorQ1CStagePlan) {
+  ExpectStagePlanBitIdentical(&MakeQ1CStagePlan);
+}
+
+TEST(RowBatchCrosscheckTest, FtExecutorQ2CStagePlan) {
+  ExpectStagePlanBitIdentical(&MakeQ2CStagePlan);
 }
 
 }  // namespace

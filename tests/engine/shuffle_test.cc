@@ -152,14 +152,16 @@ TEST(ShuffleTest, ValidateRejectsShuffleWithoutKey) {
   StagePlan plan("bad");
   Stage a;
   a.label = "a";
-  a.run = [](int, const std::vector<const exec::Table*>&) {
+  a.run = [](int, const std::vector<const exec::Table*>&,
+             const PlanRunner&) {
     return Result<exec::Table>(exec::Table{});
   };
   const int s = plan.AddStage(std::move(a));
   Stage b;
   b.label = "b";
   b.inputs = {StageInput(s, EdgeMode::kShuffle)};  // no key
-  b.run = [](int, const std::vector<const exec::Table*>&) {
+  b.run = [](int, const std::vector<const exec::Table*>&,
+             const PlanRunner&) {
     return Result<exec::Table>(exec::Table{});
   };
   plan.AddStage(std::move(b));

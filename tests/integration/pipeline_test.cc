@@ -25,7 +25,7 @@ TEST(PipelineTest, GenerateExecuteCalibrateChooseSimulate) {
   engine::QueryRunner runner(&*pd);
   auto execution = runner.RunQ5();
   ASSERT_TRUE(execution.ok()) << execution.status();
-  ASSERT_EQ(execution->stages.size(), 6u);
+  ASSERT_EQ(execution->stages.size(), 7u);  // Fig. 9 + Broadcast(RNC)
   EXPECT_GT(execution->total_seconds, 0.0);
   EXPECT_GT(execution->result.num_rows(), 0u);
 

@@ -17,9 +17,10 @@
 // --scheme NAME forces one fixed fault-tolerance scheme instead of the
 // cost-based search: all-mat, no-mat-lineage, no-mat-restart, cost-based
 // or wal (write-ahead lineage). Forcing wal enables the WAL cost terms;
-// --wal-write-cost C sets the per-unit lineage log-write cost (and
-// likewise enables WAL in the model, so the cost-based search may pick a
-// WAL-shaped plan when the log tax beats materialization).
+// --wal-write-cost C sets the per-unit lineage log-write cost, 0 included
+// (and likewise enables WAL in the model, so the cost-based search may
+// pick a WAL-shaped plan when the log tax beats materialization); a
+// negative C is rejected.
 //
 // --burst-mtbf S / --burst-fanout F enable the correlated-failure model:
 // S is the mean seconds between correlated bursts, F the fraction of the
@@ -82,6 +83,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -114,9 +116,9 @@ struct Args {
   bool greedy = false;
   // --scheme: force one fixed scheme ("" = cost-based search).
   std::string scheme;
-  // --wal-write-cost: per-unit lineage log-write cost (0 = model default;
-  // any positive value also enables the WAL cost terms).
-  double wal_write_cost = 0.0;
+  // --wal-write-cost: per-unit lineage log-write cost (unset = model
+  // default; any value also enables the WAL cost terms).
+  std::optional<double> wal_write_cost;
   int threads = 0;       // 0 = hardware concurrency
   int exec_threads = 0;  // 0 = hardware concurrency
   int simulate_traces = 0;
@@ -157,12 +159,13 @@ bool ParseSchemeKind(const std::string& name, ft::SchemeKind* out) {
   return true;
 }
 
-// Folds the WAL CLI knobs into the cost model: a positive
-// --wal-write-cost or a forced wal scheme switches the WAL terms on.
+// Folds the WAL CLI knobs into the cost model: a given --wal-write-cost
+// or a forced wal scheme switches the WAL terms on. ValidateParams then
+// rejects a negative cost.
 void ApplyWalArgs(const Args& args, cost::CostModelParams* model) {
-  if (args.wal_write_cost > 0.0) {
+  if (args.wal_write_cost.has_value()) {
     model->wal_enabled = true;
-    model->wal_write_cost = args.wal_write_cost;
+    model->wal_write_cost = *args.wal_write_cost;
   }
   if (args.scheme == "wal" || args.scheme == "write-ahead-lineage") {
     model->wal_enabled = true;
