@@ -5,8 +5,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -102,18 +104,20 @@ class JsonLine {
 };
 
 /// \brief Writes one JSON object per line to
-/// `$XDBFT_BENCH_JSON_DIR/BENCH_<name>.json`; disabled (every call a
-/// no-op) when the environment variable is unset, so the human-readable
-/// stdout tables stay the default. On destruction a final
-/// `{"type": "metrics", ...}` line captures the process-wide metrics
-/// snapshot, making the harness runs comparable with `--metrics-json`
-/// advisor reports.
+/// `$XDBFT_BENCH_JSON_DIR/BENCH_<name>.json`, creating the directory if it
+/// is missing; disabled (every call a no-op) when the environment variable
+/// is unset, so the human-readable stdout tables stay the default. On
+/// destruction a final `{"type": "metrics", ...}` line captures the
+/// process-wide metrics snapshot, making the harness runs comparable with
+/// `--metrics-json` advisor reports.
 class BenchJsonWriter {
  public:
   explicit BenchJsonWriter(const std::string& bench_name)
       : bench_name_(bench_name) {
     const char* dir = std::getenv("XDBFT_BENCH_JSON_DIR");
     if (dir == nullptr || *dir == '\0') return;
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);  // failure shows below
     path_ = std::string(dir) + "/BENCH_" + bench_name + ".json";
     out_.open(path_);
     if (!out_) {

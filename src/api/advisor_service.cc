@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "ft/adaptive.h"
@@ -356,6 +357,10 @@ void AdvisorService::AdviseAsync(AdvisorRequest request, Callback done) {
 void AdvisorService::RecordObservation(const ft::ObservedExecution& observed,
                                        int num_nodes,
                                        int correlated_failures) {
+  if (!std::isfinite(observed.runtime_seconds)) {
+    XDBFT_COUNTER_INC("advisor_service.observations_rejected");
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(observed_mu_);
     observed_.wall_seconds += std::max(observed.runtime_seconds, 0.0);

@@ -176,12 +176,14 @@ class AdvisorService {
     }
   };
 
-  /// \brief Fold one instrumented execution (the PR-1 predicted-vs-
-  /// observed accuracy signal) into the observed cluster state, then — when
+  /// \brief Fold one instrumented execution (the predicted-vs-observed
+  /// accuracy signal) into the observed cluster state, then — when
   /// options().drift_threshold > 0 — evict every cached entry whose
   /// assumed MTBF/correlation drifted past the threshold. Thread-safe.
   /// `correlated_failures` counts the observed.failures that arrived in
-  /// multi-node bursts.
+  /// multi-node bursts. An observation with a non-finite runtime is
+  /// skipped (counted on advisor_service.observations_rejected): folded
+  /// in, it would leave the accumulated time non-finite for good.
   void RecordObservation(const ft::ObservedExecution& observed,
                          int num_nodes, int correlated_failures = 0);
 

@@ -9,7 +9,7 @@
 #include "catalog/tpch_catalog.h"
 #include "common/result.h"
 #include "common/rng.h"
-#include "exec/operators.h"
+#include "exec/batch.h"
 
 namespace xdbft::datagen {
 

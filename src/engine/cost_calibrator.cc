@@ -9,18 +9,17 @@ Result<plan::Plan> BuildCalibratedPlan(const QueryExecution& execution,
     return Status::InvalidArgument("execution has no stages");
   }
   plan::Plan plan(name);
-  plan::OpId prev = plan::kInvalidOpId;
   for (const auto& stage : execution.stages) {
     plan::PlanNode node;
     node.type = stage.type;
     node.label = stage.label;
-    if (prev != plan::kInvalidOpId) node.inputs = {prev};
+    node.inputs.assign(stage.inputs.begin(), stage.inputs.end());
     node.runtime_cost = stage.seconds;
     node.materialize_cost = medium.WriteSeconds(
         static_cast<double>(stage.output_rows), stage.row_width_bytes);
     node.output_rows = static_cast<double>(stage.output_rows);
     node.row_width_bytes = stage.row_width_bytes;
-    prev = plan.AddNode(std::move(node));
+    plan.AddNode(std::move(node));
   }
   XDBFT_RETURN_NOT_OK(plan.Validate());
   return plan;

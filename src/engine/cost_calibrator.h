@@ -15,11 +15,13 @@
 
 namespace xdbft::engine {
 
-/// \brief Build a chain-shaped execution plan from the measured stages of
-/// `execution`: each node's type is its stage's Stage::type, tr(o) the
+/// \brief Build the execution plan of the measured stages of `execution`:
+/// one node per stage, wired by the stage DAG's edges (StageTiming::
+/// inputs). Each node's type is its stage's Stage::type, tr(o) the
 /// slowest partition's wall time of the stage, tm(o) the cost of writing
-/// its output to `medium`. Every stage except the last is a free
-/// operator; the last is the sink.
+/// its output to `medium`. Every node is a free operator; the stages no
+/// other stage reads are the sinks. Fails on an input that does not name
+/// an earlier stage.
 Result<plan::Plan> BuildCalibratedPlan(const QueryExecution& execution,
                                        const cost::StorageMedium& medium,
                                        const std::string& name);

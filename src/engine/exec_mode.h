@@ -1,6 +1,5 @@
-// Engine selection for query/stage execution: the same VecNode plans run
-// on the row-at-a-time Volcano engine or the morsel-driven vectorized
-// engine (exec/pipeline.h), with bit-identical results.
+// Execution options for query/stage execution. Every VecNode plan runs on
+// the morsel-driven vectorized engine (exec/pipeline.h).
 #pragma once
 
 #include <cstddef>
@@ -9,18 +8,22 @@
 
 namespace xdbft::engine {
 
-enum class ExecMode : int { kRow, kVectorized };
+/// \brief The engine that runs stage plans. There is one; the enum and
+/// ExecOptions::mode remain only so callers that name the engine keep
+/// compiling. Nothing reads the field.
+enum class ExecMode : int { kVectorized };
 
 /// \brief How QueryRunner executes stage plans. A stage plan keeps its
-/// builder's `mode` and `morsel_rows` for the FT executor, which runs
-/// morsels serially inside its own pool (StagePlan::RunSerial).
+/// builder's `morsel_rows` for the FT executor, which runs morsels
+/// serially inside its own pool (StagePlan::RunSerial).
 struct ExecOptions {
-  ExecMode mode = ExecMode::kRow;
-  /// Worker threads per vectorized pipeline of a QueryRunner (row mode
-  /// and StagePlan::RunSerial ignore it: ParallelForEach is not
-  /// reentrant, so tasks inside another pool's tasks stay serial).
+  /// Unread: see ExecMode.
+  ExecMode mode = ExecMode::kVectorized;
+  /// Worker threads per pipeline of a QueryRunner (StagePlan::RunSerial
+  /// ignores it: ParallelForEach is not reentrant, so tasks inside
+  /// another pool's tasks stay serial).
   int num_threads = 1;
-  /// Rows per morsel/batch in vectorized mode.
+  /// Rows per morsel/batch.
   size_t morsel_rows = exec::kDefaultBatchRows;
   /// Optional per-pipeline trace lanes.
   obs::TraceRecorder* trace = nullptr;

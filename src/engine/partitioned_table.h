@@ -12,7 +12,7 @@
 #include "catalog/tpch_catalog.h"
 #include "common/result.h"
 #include "datagen/tpch_gen.h"
-#include "exec/operators.h"
+#include "exec/batch.h"
 
 namespace xdbft::engine {
 

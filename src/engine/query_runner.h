@@ -1,5 +1,5 @@
-// Failure-free, partition-parallel execution of stage plans over a
-// PartitionedDatabase: QueryRunner runs a StagePlan (stage_plan.h — the one
+// Failure-free execution of stage plans over a partitioned database
+// (PartitionedDatabase): QueryRunner runs a StagePlan (stage_plan.h — the one
 // definition of each benchmark query) stage by stage; each stage runs on
 // every partition and materializes its output, exactly the granularity at
 // which the paper's XDB middleware splits plans for fault-tolerant
@@ -8,7 +8,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -26,6 +25,9 @@ struct StageTiming {
   std::string label;
   /// Operator type of the stage (Stage::type).
   plan::OpType type = plan::OpType::kMapUdf;
+  /// Producer stages (Stage::inputs' stage indices, each listed once, in
+  /// edge order): the edges of the calibrated plan.
+  std::vector<int> inputs;
   /// Wall-clock seconds for the slowest partition of this stage.
   double seconds = 0.0;
   /// Rows produced across all partitions.
@@ -45,10 +47,10 @@ struct QueryExecution {
 };
 
 /// \brief Runs stage plans failure-free over the distributed database:
-/// stages in order, each stage's tasks on the runner's engine. Row mode
-/// executes a stage's partitions concurrently; vectorized mode runs them
-/// one after another, each plan on the morsel-driven pipeline engine
-/// (bit-identical results, any thread count).
+/// stages in order, a stage's partitions one after another, each plan on
+/// the morsel-driven pipeline engine with `num_threads` workers
+/// (bit-identical results at any thread count). With profiling on, run
+/// one query at a time per runner: the profile buffer is the runner's.
 class QueryRunner {
  public:
   explicit QueryRunner(const PartitionedDatabase* db, ExecOptions opts = {});
@@ -68,10 +70,9 @@ class QueryRunner {
   Result<QueryExecution> RunStagePlan(
       StagePlan (*make)(const PartitionedDatabase&, ExecOptions)) const;
 
-  /// \brief The runner's plan runner: executes one plan on the engine
-  /// selected by the options (row: ToOperator + Drain; vectorized: morsel
-  /// pipelines on pool_). With profiling on, appends the plan's profile
-  /// to pending_profiles_.
+  /// \brief The runner's plan runner: executes one plan as morsel
+  /// pipelines on pool_. With profiling on, appends the plan's profile to
+  /// pending_profiles_.
   Result<exec::Table> RunNode(const exec::VecNodePtr& plan) const;
 
   /// \brief Merge every pending per-partition profile of the stage that
@@ -82,13 +83,10 @@ class QueryRunner {
 
   const PartitionedDatabase* db_;
   ExecOptions opts_;
-  /// Morsel pool shared by every vectorized pipeline of this runner
-  /// (created only for mode == kVectorized with num_threads > 1).
+  /// Morsel pool shared by every pipeline of this runner (created only
+  /// with num_threads > 1).
   std::unique_ptr<TaskPool> pool_;
-  /// Profiles of plans run since the last flush. Row mode runs partitions
-  /// concurrently, so pushes are mutex-protected (cold path: once per
-  /// partition per stage).
-  mutable std::mutex profile_mu_;
+  /// Profiles of plans run since the last flush.
   mutable std::vector<obs::QueryProfile> pending_profiles_;
 };
 

@@ -113,7 +113,7 @@ Result<Table> StagePlan::RunSerial(const exec::VecNodePtr& plan) const {
   exec::VecExecOptions vopts;
   vopts.num_threads = 1;
   vopts.morsel_rows = morsel_rows_;
-  return exec::RunPlan(plan, vectorized_, vopts);
+  return exec::ExecuteVectorized(plan, vopts);
 }
 
 Table GatherRows(const std::vector<const Table*>& tables, int key_column,

@@ -72,7 +72,7 @@ struct StageInput {
 };
 
 /// \brief Executes one VecNode plan for a stage task. The driver picks the
-/// engine, morsel size, pool and profiling; the stage only builds the plan.
+/// morsel size, pool and profiling; the stage only builds the plan.
 using PlanRunner =
     std::function<Result<exec::Table>(const exec::VecNodePtr& plan)>;
 
@@ -98,12 +98,10 @@ struct Stage {
 /// \brief An executable stage DAG over a partitioned database.
 class StagePlan {
  public:
-  /// \brief `opts.mode` and `opts.morsel_rows` are the engine RunSerial
-  /// runs stage tasks on; the rest of `opts` is not kept.
+  /// \brief `opts.morsel_rows` is the morsel size RunSerial runs stage
+  /// tasks with; the rest of `opts` is not kept.
   explicit StagePlan(std::string name, const ExecOptions& opts = {})
-      : name_(std::move(name)),
-        vectorized_(opts.mode == ExecMode::kVectorized),
-        morsel_rows_(opts.morsel_rows) {}
+      : name_(std::move(name)), morsel_rows_(opts.morsel_rows) {}
 
   const std::string& name() const { return name_; }
 
@@ -138,8 +136,8 @@ class StagePlan {
       std::vector<exec::Table>* scratch) const;
 
   /// \brief The plan runner for stage tasks that run inside another pool's
-  /// tasks (the FT executor's): the builder's engine and morsel size, with
-  /// serial morsels (ParallelForEach is not reentrant).
+  /// tasks (the FT executor's): the builder's morsel size, with serial
+  /// morsels (ParallelForEach is not reentrant).
   Result<exec::Table> RunSerial(const exec::VecNodePtr& plan) const;
 
   /// \brief A cost-less plan::Plan mirror of the stage structure, used to
@@ -150,7 +148,6 @@ class StagePlan {
 
  private:
   std::string name_;
-  bool vectorized_;
   size_t morsel_rows_;
   std::vector<Stage> stages_;
 };
@@ -165,9 +162,9 @@ exec::Table GatherRows(const std::vector<const exec::Table*>& tables,
                        int num_partitions = 1);
 
 /// \brief The benchmark queries as stage plans — the only definition of
-/// each. The database must outlive the returned plan. `opts.mode` and
-/// `opts.morsel_rows` are kept for RunSerial (the FT executor's engine);
-/// QueryRunner runs the tasks on its own plan runner instead.
+/// each. The database must outlive the returned plan. `opts.morsel_rows`
+/// is kept for RunSerial (the FT executor's plan runner); QueryRunner runs
+/// the tasks on its own plan runner instead.
 ///
 /// Q1: scan+filter LINEITEM, aggregate by (returnflag, linestatus).
 StagePlan MakeQ1StagePlan(const PartitionedDatabase& db,

@@ -1,7 +1,7 @@
-// Shared aggregate core: AggFunc/AggSpec (the aggregate description) and
-// the accumulate/finalize kernels. Both the row-engine HashAggregateOperator
-// and the vectorized aggregate sink (pipeline.cc) call these, so SQL NULL
-// semantics cannot diverge between the two engines:
+// Aggregate core: AggFunc/AggSpec (the aggregate description) and the
+// accumulate/finalize kernels the aggregate sink (pipeline.cc) calls. The
+// test oracle's row-at-a-time aggregate calls the same kernels, so SQL
+// NULL semantics are defined once:
 //   - COUNT(expr) counts only non-NULL arguments; COUNT(*) is the
 //     null-argument form and counts rows.
 //   - SUM/AVG over zero non-NULL inputs is NULL (not 0).

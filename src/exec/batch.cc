@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "exec/operators.h"
-
 namespace xdbft::exec {
 
 void BatchFromTable(const Table& table, size_t begin, size_t end,

@@ -15,7 +15,14 @@
 
 namespace xdbft::exec {
 
-struct Table;  // operators.h
+/// \brief In-memory table: schema + rows (the storage substrate of the
+/// engine; partitioned tables in engine/ hold one per partition).
+struct Table {
+  Schema schema;
+  std::vector<Row> rows;
+
+  size_t num_rows() const { return rows.size(); }
+};
 
 /// \brief Target rows per batch / per morsel (DuckDB-style vector size).
 inline constexpr size_t kDefaultBatchRows = 1024;

@@ -111,50 +111,6 @@ VecNodePtr VUnionAll(std::vector<VecNodePtr> inputs) {
   return n;
 }
 
-OperatorPtr ToOperator(const VecNodePtr& plan) {
-  if (plan == nullptr) return nullptr;
-  const VecNode& n = *plan;
-  switch (n.op) {
-    case VecOp::kScan:
-      return MakeScan(n.table);
-    case VecOp::kFilter:
-      return MakeFilter(ToOperator(n.children[0]), n.predicate);
-    case VecOp::kProject: {
-      std::vector<std::string> names;
-      names.reserve(n.schema.num_columns());
-      for (const auto& c : n.schema.columns()) names.push_back(c.name);
-      return MakeProject(ToOperator(n.children[0]), n.exprs,
-                         std::move(names));
-    }
-    case VecOp::kHashJoin:
-      return MakeHashJoin(ToOperator(n.children[0]),
-                          ToOperator(n.children[1]), n.build_keys,
-                          n.probe_keys);
-    case VecOp::kNestedLoopJoin:
-      return MakeNestedLoopJoin(ToOperator(n.children[0]),
-                                ToOperator(n.children[1]), n.predicate);
-    case VecOp::kMergeJoin:
-      return MakeMergeJoin(ToOperator(n.children[0]),
-                           ToOperator(n.children[1]), n.left_key,
-                           n.right_key);
-    case VecOp::kHashAggregate:
-      return MakeHashAggregate(ToOperator(n.children[0]), n.group_by,
-                               n.aggs);
-    case VecOp::kSort:
-      return MakeSort(ToOperator(n.children[0]), n.sort_keys, n.ascending,
-                      n.limit);
-    case VecOp::kLimit:
-      return MakeLimit(ToOperator(n.children[0]), n.limit);
-    case VecOp::kUnionAll: {
-      std::vector<OperatorPtr> inputs;
-      inputs.reserve(n.children.size());
-      for (const auto& c : n.children) inputs.push_back(ToOperator(c));
-      return MakeUnionAll(std::move(inputs));
-    }
-  }
-  return nullptr;
-}
-
 namespace {
 
 const char* VecOpName(VecOp op) {
@@ -192,7 +148,7 @@ void BuildSkeletonNode(const VecNode& n, obs::OperatorProfile* out) {
 }
 
 // Memory-footprint estimates, derived after execution from the recorded
-// row counts so both engines report identical numbers: materializing
+// row counts (so they do not depend on thread count): materializing
 // breakers are charged their output, joins their buffered build / left
 // side — rows x columns x sizeof(Value), the same convention as the FT
 // executor's table-size accounting.
@@ -222,161 +178,12 @@ void FinalizeMemoryEstimates(const VecNode& n, obs::OperatorProfile* p) {
   }
 }
 
-}  // namespace
-
-void BuildProfileSkeleton(const VecNodePtr& plan,
-                          obs::OperatorProfile* root) {
-  if (plan == nullptr || root == nullptr) return;
+// Reset `root` to the EXPLAIN ANALYZE skeleton of `plan`: same tree
+// shape, operator names filled in, all counters zero.
+void BuildProfileSkeleton(const VecNode& plan, obs::OperatorProfile* root) {
   *root = obs::OperatorProfile{};
-  BuildSkeletonNode(*plan, root);
+  BuildSkeletonNode(plan, root);
 }
-
-#if !defined(XDBFT_DISABLE_METRICS)
-
-namespace {
-
-// Volcano-tree decorator: charges inclusive wall time of Open/Next/
-// NextBatch (the operator plus everything below it) and counts produced
-// rows into one skeleton node. The root decorator additionally fills the
-// memory estimates at Close, when the counts are complete.
-class ProfilingOperator final : public Operator {
- public:
-  ProfilingOperator(OperatorPtr inner, obs::OperatorProfile* node)
-      : inner_(std::move(inner)), node_(node) {}
-
-  void set_finalize(VecNodePtr plan, obs::OperatorProfile* root) {
-    finalize_plan_ = std::move(plan);
-    finalize_root_ = root;
-  }
-
-  Status Open() override {
-    const auto t0 = std::chrono::steady_clock::now();
-    Status s = inner_->Open();
-    node_->seconds += Elapsed(t0);
-    return s;
-  }
-
-  Result<bool> Next(Row* out) override {
-    const auto t0 = std::chrono::steady_clock::now();
-    Result<bool> r = inner_->Next(out);
-    node_->seconds += Elapsed(t0);
-    if (r.ok() && *r) ++node_->rows_out;
-    return r;
-  }
-
-  Result<bool> NextBatch(Batch* out) override {
-    const auto t0 = std::chrono::steady_clock::now();
-    Result<bool> r = inner_->NextBatch(out);
-    node_->seconds += Elapsed(t0);
-    if (r.ok() && *r) {
-      ++node_->batches;
-      node_->rows_out += out->num_rows();
-    }
-    return r;
-  }
-
-  void Close() override {
-    inner_->Close();
-    if (finalize_root_ != nullptr) {
-      FinalizeMemoryEstimates(*finalize_plan_, finalize_root_);
-    }
-  }
-
-  const Schema& schema() const override { return inner_->schema(); }
-
- private:
-  static double Elapsed(std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-  }
-
-  OperatorPtr inner_;
-  obs::OperatorProfile* node_;
-  VecNodePtr finalize_plan_;
-  obs::OperatorProfile* finalize_root_ = nullptr;
-};
-
-// Mirror of ToOperator that wraps every operator (including children) in
-// a ProfilingOperator bound to the matching skeleton node.
-OperatorPtr BuildProfiledTree(const VecNodePtr& plan,
-                              obs::OperatorProfile* node) {
-  if (plan == nullptr) return nullptr;
-  const VecNode& n = *plan;
-  auto child = [&](size_t i) {
-    return BuildProfiledTree(n.children[i], &node->children[i]);
-  };
-  OperatorPtr op;
-  switch (n.op) {
-    case VecOp::kScan:
-      op = MakeScan(n.table);
-      break;
-    case VecOp::kFilter:
-      op = MakeFilter(child(0), n.predicate);
-      break;
-    case VecOp::kProject: {
-      std::vector<std::string> names;
-      names.reserve(n.schema.num_columns());
-      for (const auto& c : n.schema.columns()) names.push_back(c.name);
-      op = MakeProject(child(0), n.exprs, std::move(names));
-      break;
-    }
-    case VecOp::kHashJoin:
-      op = MakeHashJoin(child(0), child(1), n.build_keys, n.probe_keys);
-      break;
-    case VecOp::kNestedLoopJoin:
-      op = MakeNestedLoopJoin(child(0), child(1), n.predicate);
-      break;
-    case VecOp::kMergeJoin:
-      op = MakeMergeJoin(child(0), child(1), n.left_key, n.right_key);
-      break;
-    case VecOp::kHashAggregate:
-      op = MakeHashAggregate(child(0), n.group_by, n.aggs);
-      break;
-    case VecOp::kSort:
-      op = MakeSort(child(0), n.sort_keys, n.ascending, n.limit);
-      break;
-    case VecOp::kLimit:
-      op = MakeLimit(child(0), n.limit);
-      break;
-    case VecOp::kUnionAll: {
-      std::vector<OperatorPtr> inputs;
-      inputs.reserve(n.children.size());
-      for (size_t i = 0; i < n.children.size(); ++i) {
-        inputs.push_back(child(i));
-      }
-      op = MakeUnionAll(std::move(inputs));
-      break;
-    }
-  }
-  if (op == nullptr) return nullptr;
-  return std::make_unique<ProfilingOperator>(std::move(op), node);
-}
-
-}  // namespace
-
-OperatorPtr ToOperatorProfiled(const VecNodePtr& plan,
-                               obs::OperatorProfile* root) {
-  if (root == nullptr) return ToOperator(plan);
-  BuildProfileSkeleton(plan, root);
-  OperatorPtr op = BuildProfiledTree(plan, root);
-  if (op != nullptr) {
-    static_cast<ProfilingOperator*>(op.get())->set_finalize(plan, root);
-  }
-  return op;
-}
-
-#else  // XDBFT_DISABLE_METRICS: no decorators, plain lowering.
-
-OperatorPtr ToOperatorProfiled(const VecNodePtr& plan,
-                               obs::OperatorProfile* root) {
-  BuildProfileSkeleton(plan, root);
-  return ToOperator(plan);
-}
-
-#endif  // XDBFT_DISABLE_METRICS
-
-namespace {
 
 using HashTable = std::unordered_map<Row, std::vector<Row>, RowHash, RowEq>;
 
@@ -420,8 +227,8 @@ struct Morsel {
 // them concurrently.
 using StreamStep = std::function<void(Morsel*)>;
 
-// Sort comparator shared with the row SortOperator (same key order, same
-// stable_sort => identical output order including ties).
+// Stable multi-key sort: ties keep their input order, so the output order
+// is fully determined by the input order.
 void StableSortRows(std::vector<Row>* rows, const std::vector<int>& keys,
                     const std::vector<bool>& ascending) {
   std::stable_sort(rows->begin(), rows->end(),
@@ -688,8 +495,7 @@ Status RunPipeline(const VecNode& node, Sink* sink,
   std::vector<StreamStep> steps;  // collected top-down, applied bottom-up
   // Skeleton nodes of the chain, parallel to `steps` (null when not
   // profiling). The fused scan-filter keeps separate scan and filter
-  // nodes so recorded row counts still match the row engine's operator
-  // boundaries.
+  // nodes so recorded row counts follow the plan's operator boundaries.
   std::vector<obs::OperatorProfile*> step_profs;
   [[maybe_unused]] obs::OperatorProfile* source_prof = nullptr;
   [[maybe_unused]] obs::OperatorProfile* fused_filter_prof = nullptr;
@@ -786,7 +592,7 @@ Status RunPipeline(const VecNode& node, Sink* sink,
             const auto it = htp->find(key);
             if (it == htp->end()) continue;
             // Matches in build-insertion order: probe columns first, then
-            // build columns — the row operator's output layout and order.
+            // build columns.
             for (const Row& brow : it->second) {
               for (size_t c = 0; c < pw; ++c) {
                 out.columns[c].push_back(m->batch.columns[c][r]);
@@ -812,8 +618,8 @@ Status RunPipeline(const VecNode& node, Sink* sink,
         const Table* left = &ctx->owned_tables.back();
         Expr::Ptr pred = cur->predicate;
         steps.push_back([left, pred](Morsel* m) {
-          // The row operator buffers the left side and streams the right:
-          // for each right row, every left row in order.
+          // The left side is buffered and the right streams: for each
+          // right row, every left row in order.
           const size_t n = m->live_rows();
           const size_t rw = m->batch.num_columns();
           const size_t lw = left->schema.num_columns();
@@ -907,7 +713,7 @@ Status RunPipeline(const VecNode& node, Sink* sink,
 #if !defined(XDBFT_DISABLE_METRICS)
     if (acc != nullptr) {
       // The scan reports the rows it read (hi - lo); the fused filter
-      // reports the survivors — the same counts the row operators yield.
+      // reports the survivors, as if the two were separate operators.
       acc[0].seconds += std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
@@ -938,7 +744,7 @@ Status RunPipeline(const VecNode& node, Sink* sink,
   if (pool != nullptr && pool->num_threads() > 0 && nmorsels > 1) {
     // Morsels run in parallel; the sink still consumes their outputs in
     // morsel-index order below, which keeps results bit-identical to the
-    // serial (and row-engine) execution. Morsels are grouped into a few
+    // serial execution. Morsels are grouped into a few
     // contiguous range tasks per worker so the per-task pool overhead is
     // amortized over many morsels.
     std::vector<Morsel> outs(nmorsels);
@@ -970,8 +776,8 @@ Status RunPipeline(const VecNode& node, Sink* sink,
   if (profiling) {
     // Fold the per-task accumulators into the skeleton. Chain times are
     // made inclusive (each operator is charged its own busy seconds plus
-    // everything upstream in the pipeline) so they compare with the row
-    // engine's inclusive wall times.
+    // everything upstream in the pipeline), like a breaker's inclusive
+    // wall time.
     std::vector<obs::OperatorProfile*> slot_profs;
     slot_profs.reserve(nslots);
     slot_profs.push_back(source_prof);
@@ -1019,8 +825,7 @@ Result<Table> ExecNodeImpl(const VecNode& node, ExecContext* ctx) {
       return sink.Finish();
     }
     case VecOp::kLimit: {
-      // Materialize-and-truncate (the row operator stops pulling early
-      // instead; the resulting prefix is identical).
+      // Materialize-and-truncate.
       if (node.limit < 0) return Status::InvalidArgument("negative limit");
       XDBFT_ASSIGN_OR_RETURN(Table t, ExecNode(*node.children[0], ctx));
       if (t.rows.size() > static_cast<size_t>(node.limit)) {
@@ -1061,8 +866,7 @@ Result<Table> ExecNodeImpl(const VecNode& node, ExecContext* ctx) {
         } else if (c > 0) {
           ++ri;
         } else {
-          // Cross product of the key group, left-major — the row
-          // operator's emission order.
+          // Cross product of the key group, left-major.
           const Value& key = lt.rows[li][lk];
           size_t lend = li, rend = ri;
           while (lend < lt.rows.size() &&
@@ -1138,7 +942,7 @@ Result<Table> ExecuteVectorized(const VecNodePtr& plan,
   ExecContext ctx;
   ctx.opts = &local;
   if (local.profile != nullptr) {
-    BuildProfileSkeleton(plan, local.profile);
+    BuildProfileSkeleton(*plan, local.profile);
 #if !defined(XDBFT_DISABLE_METRICS)
     BuildProfileMap(*plan, local.profile, &ctx.profile_map);
 #endif
@@ -1150,15 +954,6 @@ Result<Table> ExecuteVectorized(const VecNodePtr& plan,
   }
 #endif
   return result;
-}
-
-Result<Table> RunPlan(const VecNodePtr& plan, bool vectorized,
-                      const VecExecOptions& opts) {
-  if (!vectorized) {
-    const OperatorPtr op = ToOperator(plan);
-    return Drain(op.get());
-  }
-  return ExecuteVectorized(plan, opts);
 }
 
 }  // namespace xdbft::exec

@@ -1,9 +1,6 @@
-// Morsel-driven vectorized execution engine. A query is described as a
-// VecNode plan tree (the V* factories mirror the Make* operator factories
-// one-to-one); the same plan runs on either engine:
-//
-//   - ToOperator(plan)  -> the row-at-a-time Volcano tree (the baseline),
-//   - ExecuteVectorized(plan, opts) -> pipeline execution over Batches.
+// Morsel-driven vectorized execution engine — the library's one engine.
+// A query is described as a VecNode plan tree built with the V* factories
+// and run by ExecuteVectorized over Batches.
 //
 // ExecuteVectorized decomposes the plan at pipeline breakers (hash-build
 // sides, aggregates, sorts, merge joins, limits, unions). Each pipeline
@@ -11,11 +8,13 @@
 // morsel through the streaming steps (filter / project / hash-join probe /
 // nested-loop probe), and feeds a serial sink. Morsels of one pipeline run
 // concurrently on the work-stealing TaskPool, but the sink always consumes
-// their outputs in morsel-index order, so results are bit-identical to the
-// row engine at any thread count: floating-point accumulation (aggregate
+// their outputs in morsel-index order, so results are bit-identical at any
+// thread count and morsel size: floating-point accumulation (aggregate
 // sums) happens in exactly the input-row order, never in a merge order
 // that depends on scheduling. This is the determinism contract the FT
-// executor and the crosscheck harness rely on.
+// executor and the crosscheck harness rely on. The tests hold the engine
+// to a row-at-a-time Volcano implementation of the same operators
+// (tests/oracle), which lives outside the library.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +24,9 @@
 
 #include "common/result.h"
 #include "common/task_pool.h"
+#include "exec/agg.h"
 #include "exec/batch.h"
-#include "exec/operators.h"
+#include "exec/expr.h"
 #include "obs/query_profile.h"
 #include "obs/trace.h"
 
@@ -45,10 +45,9 @@ enum class VecOp : int {
   kUnionAll,
 };
 
-/// \brief One node of an engine-independent plan tree. Build with the V*
-/// factories below; the output schema is computed eagerly so parents can
-/// resolve column names at plan-construction time (exactly like calling
-/// schema() on a freshly built operator).
+/// \brief One node of a plan tree. Build with the V* factories below; the
+/// output schema is computed eagerly so parents can resolve column names
+/// at plan-construction time.
 struct VecNode {
   VecOp op = VecOp::kScan;
   std::vector<std::shared_ptr<const VecNode>> children;
@@ -70,10 +69,10 @@ struct VecNode {
 
 using VecNodePtr = std::shared_ptr<const VecNode>;
 
-// Plan factories, mirroring the Make* operator factories (same argument
-// order, same output schemas). Invalid plans (bad keys, null predicate,
-// mismatched sizes) are diagnosed at execution time with the same
-// InvalidArgument errors the row operators produce at Open.
+// Plan factories. A hash join's output is probe columns ++ build columns;
+// nested-loop and merge joins output left ++ right. Invalid plans (bad
+// keys, null predicate, mismatched sizes) are diagnosed at execution time
+// with InvalidArgument.
 VecNodePtr VScan(const Table* table);
 VecNodePtr VFilter(VecNodePtr input, Expr::Ptr predicate);
 VecNodePtr VProject(VecNodePtr input, std::vector<Expr::Ptr> exprs,
@@ -91,25 +90,6 @@ VecNodePtr VSort(VecNodePtr input, std::vector<int> keys,
                  std::vector<bool> ascending, int64_t limit = -1);
 VecNodePtr VLimit(VecNodePtr input, int64_t limit);
 VecNodePtr VUnionAll(std::vector<VecNodePtr> inputs);
-
-/// \brief Lower a plan to the row-engine operator tree (the Volcano
-/// baseline). Returns nullptr for a null plan.
-OperatorPtr ToOperator(const VecNodePtr& plan);
-
-/// \brief Reset `root` to the EXPLAIN ANALYZE skeleton of `plan`: same
-/// tree shape, operator names filled in, all counters zero. Both engines
-/// fill this identical shape, so per-operator row counts are directly
-/// comparable between them.
-void BuildProfileSkeleton(const VecNodePtr& plan, obs::OperatorProfile* root);
-
-/// \brief ToOperator plus profiling: rebuilds `root` as the plan skeleton
-/// and returns a decorated operator tree that records rows, batches and
-/// inclusive wall seconds per operator into it (memory estimates are
-/// filled at Close). `root` must outlive the returned tree. Under
-/// XDBFT_DISABLE_METRICS only the skeleton is built and the plain
-/// ToOperator tree is returned.
-OperatorPtr ToOperatorProfiled(const VecNodePtr& plan,
-                               obs::OperatorProfile* root);
 
 /// \brief Options of one vectorized execution.
 struct VecExecOptions {
@@ -138,14 +118,9 @@ struct VecExecOptions {
   obs::OperatorProfile* profile = nullptr;
 };
 
-/// \brief Execute a plan on the vectorized engine. The result is
-/// bit-identical to Drain(ToOperator(plan).get()) at any thread count.
+/// \brief Execute a plan. The result is bit-identical at any thread count
+/// and morsel size.
 Result<Table> ExecuteVectorized(const VecNodePtr& plan,
                                 const VecExecOptions& opts = {});
-
-/// \brief Engine dispatch helper: row engine when `vectorized` is false,
-/// otherwise ExecuteVectorized with `opts`.
-Result<Table> RunPlan(const VecNodePtr& plan, bool vectorized,
-                      const VecExecOptions& opts = {});
 
 }  // namespace xdbft::exec

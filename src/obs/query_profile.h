@@ -1,15 +1,10 @@
 // Per-operator query profiles: the EXPLAIN ANALYZE data model.
 //
-// Both engines fill the same tree shape (built from the vectorized plan
-// by the exec layer), so per-operator row counts are directly comparable
-// between the Volcano row engine and the morsel-driven vectorized engine.
-//
-// Time semantics differ by engine and are recorded honestly:
-//   - row engine: inclusive wall seconds per operator (time spent inside
-//     the operator and everything below it);
-//   - vectorized engine: summed worker-busy seconds per operator,
-//     accumulated per-morsel in worker-local slots and folded once at
-//     pipeline finish (no locks or shared counters on the hot path).
+// The tree mirrors the executed plan's shape (built from the VecNode plan
+// by the exec layer). Per-operator seconds are summed worker-busy seconds,
+// accumulated per morsel in worker-local slots and folded once at
+// pipeline finish (no locks or shared counters on the hot path); a
+// pipeline breaker records the inclusive wall time of its pipeline.
 // Rendering derives self time as max(0, seconds - sum(child seconds)).
 #pragma once
 
@@ -24,10 +19,10 @@ namespace xdbft::obs {
 struct OperatorProfile {
   std::string name;               // operator kind, e.g. "HashAggregate"
   uint64_t rows_out = 0;          // rows produced by this operator
-  uint64_t batches = 0;           // batches (vectorized) or Next batches (row)
-  double seconds = 0.0;           // see header comment for engine semantics
+  uint64_t batches = 0;           // morsels (batches) the operator produced
+  double seconds = 0.0;           // see header comment
   uint64_t est_memory_bytes = 0;  // breaker / build-side footprint estimate
-  int pipeline_id = -1;           // vectorized pipeline index; -1 elsewhere
+  int pipeline_id = -1;           // pipeline index; -1 for breakers
   std::vector<OperatorProfile> children;
 
   // Rows consumed, derived from children (0 for leaves).
@@ -39,7 +34,7 @@ struct OperatorProfile {
 
 struct QueryProfile {
   std::string label;   // stage or query label, e.g. "Q1/PartialAgg(L)"
-  std::string engine;  // "row" or "vectorized"
+  std::string engine;  // executing engine; "vectorized"
   double seconds = 0.0;
   OperatorProfile root;
 

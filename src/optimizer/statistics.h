@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "exec/operators.h"
+#include "exec/batch.h"
 
 namespace xdbft::optimizer {
 

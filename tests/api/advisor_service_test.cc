@@ -4,13 +4,16 @@
 
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <condition_variable>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "api/fingerprint.h"
 #include "ft/scheme.h"
+#include "obs/metrics.h"
 #include "tpch/queries.h"
 
 namespace xdbft::api {
@@ -310,6 +313,56 @@ TEST(AdvisorServiceTest, MtbfDriftEvictsCachedPlans) {
   ASSERT_TRUE(again.ok()) << again.status();
   EXPECT_EQ(service.stats().misses, 2u);
   ExpectSameScheme(again.ValueOrDie(), fresh.ValueOrDie());
+}
+
+TEST(AdvisorServiceTest, NonFiniteObservationsDoNotBreakDriftEviction) {
+  AdvisorService service(cost::MakeCluster(10, 3600.0, 1.0));
+  const AdvisorRequest r = MakeRequest(SmallPlan("p"));  // assumes 3600 s
+  ASSERT_TRUE(service.Advise(r).ok());
+#if !defined(XDBFT_DISABLE_METRICS)
+  const obs::MetricsSnapshot before =
+      obs::MetricsRegistry::Default().Snapshot();
+#endif
+  // Hostile feedback: NaN and +inf runtimes (each claiming a failure) are
+  // skipped; a zero-duration failure-free run is valid and carries no
+  // evidence.
+  for (const double runtime : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()}) {
+    ft::ObservedExecution bad;
+    bad.runtime_seconds = runtime;
+    bad.failures = 1;
+    service.RecordObservation(bad, 10);
+  }
+  service.RecordObservation(ft::ObservedExecution{}, 10);
+  const auto observed = service.observed_cluster();
+  EXPECT_EQ(observed.observations, 1u);
+  EXPECT_EQ(observed.failures, 0u);
+  EXPECT_TRUE(std::isfinite(observed.node_seconds));
+  EXPECT_TRUE(std::isfinite(observed.wall_seconds));
+  EXPECT_EQ(service.stats().drift_invalidations, 0u);
+#if !defined(XDBFT_DISABLE_METRICS)
+  EXPECT_EQ(obs::MetricsRegistry::Default().Snapshot().counter(
+                "advisor_service.observations_rejected") -
+                before.counter("advisor_service.observations_rejected"),
+            2u);
+#endif
+  // Evidence that matches the assumed MTBF exactly (10 failures in 3600 s
+  // on 10 nodes) keeps the entry...
+  ft::ObservedExecution calm;
+  calm.runtime_seconds = 3600.0;
+  calm.failures = 10;
+  service.RecordObservation(calm, 10);
+  EXPECT_EQ(service.stats().drift_invalidations, 0u);
+  EXPECT_EQ(service.stats().entries, 1u);
+  // ...and real drift still evicts it: 30 more failures in 360 s bring the
+  // observed MTBF to 39600 / 40 = 990 s, a 0.725 drift.
+  ft::ObservedExecution stormy;
+  stormy.runtime_seconds = 360.0;
+  stormy.failures = 30;
+  service.RecordObservation(stormy, 10);
+  EXPECT_DOUBLE_EQ(service.observed_cluster().mtbf_seconds(), 990.0);
+  EXPECT_EQ(service.stats().drift_invalidations, 1u);
+  EXPECT_EQ(service.stats().entries, 0u);
 }
 
 TEST(AdvisorServiceTest, ObservedBurstsEvictIndependentPlans) {

@@ -40,15 +40,14 @@ StagePlan TwoInputPlan(const PartitionedDatabase& db) {
   fo.label = "FilterO";
   fo.type = plan::OpType::kFilter;
   fo.run = [orders](int p, const std::vector<const Table*>&,
-                    const PlanRunner&)
+                    const PlanRunner& run_plan)
       -> Result<Table> {
     const Table& part = orders->partitions[static_cast<size_t>(p)];
     XDBFT_ASSIGN_OR_RETURN(auto odate,
                            Expr::Col(part.schema, "o_orderdate"));
-    auto op = exec::MakeFilter(
-        exec::MakeScan(&part),
-        exec::Lt(odate, Expr::Lit(Value(int64_t{1200}))));
-    return exec::Drain(op.get());
+    return run_plan(
+        exec::VFilter(exec::VScan(&part),
+                      exec::Lt(odate, Expr::Lit(Value(int64_t{1200})))));
   };
   const int s_o = plan.AddStage(std::move(fo));
 
@@ -56,14 +55,12 @@ StagePlan TwoInputPlan(const PartitionedDatabase& db) {
   fl.label = "FilterL";
   fl.type = plan::OpType::kFilter;
   fl.run = [lineitem](int p, const std::vector<const Table*>&,
-                      const PlanRunner&)
+                      const PlanRunner& run_plan)
       -> Result<Table> {
     const Table& part = lineitem->partitions[static_cast<size_t>(p)];
     XDBFT_ASSIGN_OR_RETURN(auto qty, Expr::Col(part.schema, "l_quantity"));
-    auto op = exec::MakeFilter(
-        exec::MakeScan(&part),
-        exec::Ge(qty, Expr::Lit(Value(25.0))));
-    return exec::Drain(op.get());
+    return run_plan(exec::VFilter(exec::VScan(&part),
+                                  exec::Ge(qty, Expr::Lit(Value(25.0)))));
   };
   const int s_l = plan.AddStage(std::move(fl));
 
@@ -72,15 +69,14 @@ StagePlan TwoInputPlan(const PartitionedDatabase& db) {
   join.type = plan::OpType::kHashJoin;
   join.inputs = {s_o, s_l};  // two same-partition edges
   join.run = [](int, const std::vector<const Table*>& inputs,
-                const PlanRunner&)
+                const PlanRunner& run_plan)
       -> Result<Table> {
     const Table& o = *inputs[0];
     const Table& l = *inputs[1];
     XDBFT_ASSIGN_OR_RETURN(const int okey, o.schema.Find("o_orderkey"));
     XDBFT_ASSIGN_OR_RETURN(const int lokey, l.schema.Find("l_orderkey"));
-    auto op = exec::MakeHashJoin(exec::MakeScan(&o), exec::MakeScan(&l),
-                                 {okey}, {lokey});
-    return exec::Drain(op.get());
+    return run_plan(
+        exec::VHashJoin(exec::VScan(&o), exec::VScan(&l), {okey}, {lokey}));
   };
   const int s_join = plan.AddStage(std::move(join));
 
@@ -90,12 +86,10 @@ StagePlan TwoInputPlan(const PartitionedDatabase& db) {
   count.global = true;
   count.inputs = {s_join};
   count.run = [](int, const std::vector<const Table*>& inputs,
-                 const PlanRunner&)
+                 const PlanRunner& run_plan)
       -> Result<Table> {
-    auto op = exec::MakeHashAggregate(
-        exec::MakeScan(inputs[0]), {},
-        {{exec::AggFunc::kCount, nullptr, "n"}});
-    return exec::Drain(op.get());
+    return run_plan(exec::VHashAggregate(
+        exec::VScan(inputs[0]), {}, {{exec::AggFunc::kCount, nullptr, "n"}}));
   };
   plan.AddStage(std::move(count));
   return plan;

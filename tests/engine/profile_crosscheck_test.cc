@@ -1,10 +1,14 @@
-// EXPLAIN ANALYZE engine crosscheck: both engines fill the same profile
-// tree shape, and per-operator output row counts must match exactly
-// between the Volcano row engine and the morsel-driven vectorized engine
-// (the operators are semantically identical; only timing may differ).
+// EXPLAIN ANALYZE crosscheck: every node of a vectorized profile must
+// report exactly the rows the test oracle produces for that node's subtree
+// (Drain(ToOperator(subtree)), tests/oracle). Each query's stage plan runs
+// through the oracle stage driver with a plan runner that executes every
+// plan profiled on 4 threads and checks its profile node by node; the
+// per-stage profiles QueryRunner merges are checked for one labeled tree
+// per plan-running stage.
 #include <gtest/gtest.h>
 
 #include "engine/query_runner.h"
+#include "oracle/stage_driver.h"
 
 namespace xdbft::engine {
 namespace {
@@ -27,18 +31,23 @@ const Fixture& GetFixture() {
 }
 
 using RunFn = Result<QueryExecution> (QueryRunner::*)() const;
+using MakeFn = StagePlan (*)(const PartitionedDatabase&, ExecOptions);
 
-void ExpectSameRows(const obs::OperatorProfile& row,
-                    const obs::OperatorProfile& vec,
-                    const std::string& where) {
-  ASSERT_EQ(row.name, vec.name) << where;
-  EXPECT_EQ(row.rows_out, vec.rows_out)
-      << where << " -> " << row.name << ": row engine produced "
-      << row.rows_out << " rows, vectorized " << vec.rows_out;
-  ASSERT_EQ(row.children.size(), vec.children.size()) << where;
-  for (size_t i = 0; i < row.children.size(); ++i) {
-    ExpectSameRows(row.children[i], vec.children[i],
-                   where + "/" + row.name);
+void ExpectOracleRows(const exec::VecNodePtr& plan,
+                      const obs::OperatorProfile& prof,
+                      const std::string& where) {
+  ASSERT_EQ(prof.children.size(), plan->children.size()) << where;
+#if !defined(XDBFT_DISABLE_METRICS)
+  auto expected = oracle::RunVolcano(plan);
+  ASSERT_TRUE(expected.ok()) << where << ": " << expected.status();
+  EXPECT_EQ(prof.rows_out, expected->num_rows())
+      << where << " -> " << prof.name << ": vectorized profile says "
+      << prof.rows_out << " rows, the oracle produced "
+      << expected->num_rows();
+#endif
+  for (size_t i = 0; i < prof.children.size(); ++i) {
+    ExpectOracleRows(plan->children[i], prof.children[i],
+                     where + "/" + prof.name);
   }
 }
 
@@ -48,52 +57,58 @@ uint64_t TotalRows(const obs::OperatorProfile& p) {
   return total;
 }
 
-void CrosscheckQuery(RunFn run, const char* name) {
+void CrosscheckQuery(RunFn run, MakeFn make, const char* name) {
   const Fixture& f = GetFixture();
-  ExecOptions row_opts;
-  row_opts.mode = ExecMode::kRow;
-  row_opts.profile = true;
-  QueryRunner row_runner(&f.pd, row_opts);
-  auto row = (row_runner.*run)();
-  ASSERT_TRUE(row.ok()) << name << ": " << row.status();
+  const StagePlan plan = make(f.pd, ExecOptions{});
+  int plans_checked = 0;
+  const PlanRunner profiled = [&](const exec::VecNodePtr& node) {
+    obs::OperatorProfile profile;
+    exec::VecExecOptions vopts;
+    vopts.num_threads = 4;
+    vopts.profile = &profile;
+    Result<exec::Table> r = exec::ExecuteVectorized(node, vopts);
+    if (r.ok()) ExpectOracleRows(node, profile, name);
+    ++plans_checked;
+    return r;
+  };
+  auto oracle_run = oracle::RunStagePlan(plan, f.pd.num_nodes, profiled);
+  ASSERT_TRUE(oracle_run.ok()) << name << ": " << oracle_run.status();
+  EXPECT_GT(plans_checked, 0) << name;
 
-  ExecOptions vec_opts;
-  vec_opts.mode = ExecMode::kVectorized;
-  vec_opts.num_threads = 4;
-  vec_opts.profile = true;
-  QueryRunner vec_runner(&f.pd, vec_opts);
-  auto vec = (vec_runner.*run)();
-  ASSERT_TRUE(vec.ok()) << name << ": " << vec.status();
-
-  ASSERT_EQ(row->stage_profiles.size(), vec->stage_profiles.size()) << name;
-  ASSERT_FALSE(row->stage_profiles.empty()) << name;
+  ExecOptions opts;
+  opts.num_threads = 4;
+  opts.profile = true;
+  QueryRunner runner(&f.pd, opts);
+  auto r = (runner.*run)();
+  ASSERT_TRUE(r.ok()) << name << ": " << r.status();
+  // One profile per stage that runs a plan (an exchange stage such as
+  // Q5's Broadcast(RNC) runs none), labeled with the stage, in stage order.
+  ASSERT_FALSE(r->stage_profiles.empty()) << name;
   [[maybe_unused]] uint64_t total_rows = 0;
-  for (size_t s = 0; s < row->stage_profiles.size(); ++s) {
-    const obs::QueryProfile& rp = row->stage_profiles[s];
-    const obs::QueryProfile& vp = vec->stage_profiles[s];
-    EXPECT_EQ(rp.label, vp.label);
-    EXPECT_EQ(rp.engine, "row");
-    EXPECT_EQ(vp.engine, "vectorized");
-    ExpectSameRows(rp.root, vp.root,
-                   std::string(name) + "/" + rp.label);
-    total_rows += TotalRows(rp.root);
+  int s = 0;
+  for (const obs::QueryProfile& p : r->stage_profiles) {
+    while (s < plan.num_stages() && plan.stage(s).label != p.label) ++s;
+    ASSERT_LT(s, plan.num_stages()) << name << ": " << p.label;
+    ++s;
+    EXPECT_EQ(p.engine, "vectorized") << name;
+    total_rows += TotalRows(p.root);
   }
 #if !defined(XDBFT_DISABLE_METRICS)
-  // The profiles must actually be populated, not two all-zero skeletons.
+  // The profiles must actually be populated, not all-zero skeletons.
   EXPECT_GT(total_rows, 0u) << name;
 #endif
 }
 
 TEST(ProfileCrosscheckTest, Q1RowCountsMatchAcrossEngines) {
-  CrosscheckQuery(&QueryRunner::RunQ1, "Q1");
+  CrosscheckQuery(&QueryRunner::RunQ1, &MakeQ1StagePlan, "Q1");
 }
 
 TEST(ProfileCrosscheckTest, Q3RowCountsMatchAcrossEngines) {
-  CrosscheckQuery(&QueryRunner::RunQ3, "Q3");
+  CrosscheckQuery(&QueryRunner::RunQ3, &MakeQ3StagePlan, "Q3");
 }
 
 TEST(ProfileCrosscheckTest, Q5RowCountsMatchAcrossEngines) {
-  CrosscheckQuery(&QueryRunner::RunQ5, "Q5");
+  CrosscheckQuery(&QueryRunner::RunQ5, &MakeQ5StagePlan, "Q5");
 }
 
 TEST(ProfileCrosscheckTest, ProfilingOffLeavesProfilesEmpty) {

@@ -1,12 +1,13 @@
 // Pins the result tables of the five benchmark queries (Q1, Q3, Q5, Q1C,
 // Q2C) as FNV-1a digests over the schema (column count, names and types)
 // and every value's type and exact bits, row by row. QueryRunner must hit
-// the same digest on the row engine and on the vectorized engine at 1 and
-// 2 threads and with odd-sized morsels; the fault-tolerant executor must
-// hit it on the query's stage plan, failure-free, under both extreme
-// materialization configurations. A refactor of the engine layer must
-// keep every digest; only a change meant to alter a query's result may
-// replace them (the failure message prints the new value).
+// the same digest at 1 and 2 threads and with odd-sized morsels; the
+// fault-tolerant executor must hit it on the query's stage plan,
+// failure-free, under both extreme materialization configurations; and
+// the test oracle (the stage plan on the Volcano operators, tests/oracle)
+// must hit it too. A refactor of the engine layer must keep every digest;
+// only a change meant to alter a query's result may replace them (the
+// failure message prints the new value).
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -16,6 +17,7 @@
 #include "engine/ft_executor.h"
 #include "engine/query_runner.h"
 #include "engine/stage_plan.h"
+#include "oracle/stage_driver.h"
 
 namespace xdbft::engine {
 namespace {
@@ -121,25 +123,20 @@ void ExpectRunnerPins(const ExecOptions& opts, const char* config) {
   }
 }
 
-TEST(QueryPinTest, RowEngine) { ExpectRunnerPins(ExecOptions{}, "row"); }
-
 TEST(QueryPinTest, VectorizedOneThread) {
   ExecOptions opts;
-  opts.mode = ExecMode::kVectorized;
   opts.num_threads = 1;
   ExpectRunnerPins(opts, "vectorized x1");
 }
 
 TEST(QueryPinTest, VectorizedTwoThreads) {
   ExecOptions opts;
-  opts.mode = ExecMode::kVectorized;
   opts.num_threads = 2;
   ExpectRunnerPins(opts, "vectorized x2");
 }
 
 TEST(QueryPinTest, VectorizedOddMorsels) {
   ExecOptions opts;
-  opts.mode = ExecMode::kVectorized;
   opts.num_threads = 2;
   opts.morsel_rows = 33;
   ExpectRunnerPins(opts, "vectorized x2, 33-row morsels");
@@ -156,29 +153,35 @@ const StagePlanPin kStagePlans[] = {
     {"Q2C", &MakeQ2CStagePlan},
 };
 
+// The oracle driver runs each stage plan on the Volcano operators.
+TEST(QueryPinTest, RowEngine) {
+  const Fixture& f = GetFixture();
+  for (const StagePlanPin& sp : kStagePlans) {
+    auto r = oracle::RunStagePlan(sp.make(f.pd, ExecOptions{}),
+                                  f.pd.num_nodes);
+    ASSERT_TRUE(r.ok()) << sp.name << " oracle: " << r.status();
+    EXPECT_GT(r->num_rows(), 0u) << sp.name << " oracle";
+    EXPECT_EQ(Hex(Digest(*r)), Hex(PinOf(sp.name))) << sp.name << " oracle";
+  }
+}
+
 TEST(QueryPinTest, FtExecutorStagePlans) {
   const Fixture& f = GetFixture();
   for (const StagePlanPin& sp : kStagePlans) {
-    for (const ExecMode mode : {ExecMode::kRow, ExecMode::kVectorized}) {
-      ExecOptions opts;
-      opts.mode = mode;
-      const StagePlan plan = sp.make(f.pd, opts);
-      const plan::Plan skeleton = plan.ToPlanSkeleton();
-      FaultTolerantExecutor executor(&plan, &f.pd);
-      executor.set_num_threads(2);
-      for (const bool all_mat : {false, true}) {
-        const auto config =
-            all_mat ? ft::MaterializationConfig::AllMat(skeleton)
-                    : ft::MaterializationConfig::NoMat(skeleton);
-        auto r = executor.Execute(config);
-        const std::string where =
-            std::string(sp.name) +
-            (mode == ExecMode::kRow ? " row" : " vectorized") +
-            (all_mat ? " all-mat" : " no-mat");
-        ASSERT_TRUE(r.ok()) << where << ": " << r.status();
-        EXPECT_EQ(r->failures_injected, 0) << where;
-        EXPECT_EQ(Hex(Digest(r->result)), Hex(PinOf(sp.name))) << where;
-      }
+    const StagePlan plan = sp.make(f.pd, ExecOptions{});
+    const plan::Plan skeleton = plan.ToPlanSkeleton();
+    FaultTolerantExecutor executor(&plan, &f.pd);
+    executor.set_num_threads(2);
+    for (const bool all_mat : {false, true}) {
+      const auto config = all_mat
+                              ? ft::MaterializationConfig::AllMat(skeleton)
+                              : ft::MaterializationConfig::NoMat(skeleton);
+      auto r = executor.Execute(config);
+      const std::string where =
+          std::string(sp.name) + (all_mat ? " all-mat" : " no-mat");
+      ASSERT_TRUE(r.ok()) << where << ": " << r.status();
+      EXPECT_EQ(r->failures_injected, 0) << where;
+      EXPECT_EQ(Hex(Digest(r->result)), Hex(PinOf(sp.name))) << where;
     }
   }
 }

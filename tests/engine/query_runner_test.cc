@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <map>
+#include <vector>
 
 #include "engine/cost_calibrator.h"
 #include "tpch_reference.h"
@@ -169,6 +170,43 @@ TEST(CostCalibratorTest, BuildsChainPlanFromStages) {
   // All but the sink are free.
   const auto free_ops = plan->FreeOperators();
   EXPECT_EQ(free_ops.size(), plan->num_nodes());
+  // Q5's stage plan is a chain: each stage reads the one before it.
+  EXPECT_TRUE(plan->node(0).inputs.empty());
+  for (size_t i = 1; i < plan->num_nodes(); ++i) {
+    EXPECT_EQ(plan->node(static_cast<plan::OpId>(i)).inputs,
+              std::vector<plan::OpId>{static_cast<plan::OpId>(i - 1)})
+        << plan->node(static_cast<plan::OpId>(i)).label;
+  }
+}
+
+TEST(CostCalibratorTest, Q2CCalibratesToItsStageDag) {
+  // Q2C's CTE feeds two independent outer branches that meet only in the
+  // union: the calibrated plan must keep both edges into the union rather
+  // than chain the branches in stage order.
+  const Fixture& f = GetFixture();
+  QueryRunner runner(&f.pd);
+  auto execution = runner.RunQ2C();
+  ASSERT_TRUE(execution.ok()) << execution.status();
+  auto plan = BuildCalibratedPlan(*execution, cost::ExternalIscsiStorage(),
+                                  "q2c-calibrated");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_EQ(plan->num_nodes(), 6u);
+  const auto inputs = [&](plan::OpId id) { return plan->node(id).inputs; };
+  using Ids = std::vector<plan::OpId>;
+  EXPECT_EQ(plan->node(0).label, "CTE(min_supplycost)");
+  EXPECT_EQ(inputs(0), Ids{});
+  EXPECT_EQ(plan->node(1).label, "Outer1Join");
+  EXPECT_EQ(inputs(1), Ids{0});
+  EXPECT_EQ(plan->node(2).label, "Outer1TopK");
+  EXPECT_EQ(inputs(2), Ids{1});
+  EXPECT_EQ(plan->node(3).label, "Outer2Join");
+  EXPECT_EQ(inputs(3), Ids{0});
+  EXPECT_EQ(plan->node(4).label, "Outer2TopK");
+  EXPECT_EQ(inputs(4), Ids{3});
+  EXPECT_EQ(plan->node(5).label, "Union(Outer1,Outer2)");
+  EXPECT_EQ(inputs(5), (Ids{2, 4}));
+  EXPECT_EQ(plan->Sinks(), Ids{5});
+  EXPECT_EQ(plan->Consumers(0), (Ids{1, 3}));
 }
 
 TEST(CostCalibratorTest, NodeTypesComeFromStagePlans) {

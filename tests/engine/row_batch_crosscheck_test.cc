@@ -1,15 +1,17 @@
-// Row-engine vs vectorized-engine crosscheck at the query level: every
-// benchmark query (Q1/Q3/Q5 and the complex Q1C/Q2C) must produce
-// bit-identical results — same rows, same order, same floating-point
-// bits — on the morsel-driven engine at 1, 2 and 8 threads, and the
-// fault-tolerant stage executor must be engine-agnostic the same way.
-// Bit identity (not approximate equality) is what lets the FT recovery
-// path recompute a lost stage on either engine without detectable drift.
+// Vectorized engine vs the test oracle at the query level: every benchmark
+// query (Q1/Q3/Q5 and the complex Q1C/Q2C) must produce bit-identical
+// results — same rows, same order, same floating-point bits — from
+// QueryRunner at 1, 2 and 8 threads and from the fault-tolerant stage
+// executor as from the oracle stage driver, which runs the same stage plan
+// on the row-at-a-time Volcano operators (tests/oracle). Bit identity (not
+// approximate equality) is what lets the FT recovery path recompute a lost
+// stage without detectable drift.
 #include <gtest/gtest.h>
 
 #include "engine/ft_executor.h"
 #include "engine/query_runner.h"
 #include "exec/batch.h"
+#include "oracle/stage_driver.h"
 
 namespace xdbft::engine {
 namespace {
@@ -34,83 +36,75 @@ const Fixture& GetFixture() {
 }
 
 using RunFn = Result<QueryExecution> (QueryRunner::*)() const;
+using MakeFn = StagePlan (*)(const PartitionedDatabase&, ExecOptions);
 
-void ExpectRowBatchBitIdentical(RunFn run) {
+exec::Table OracleResult(MakeFn make) {
   const Fixture& f = GetFixture();
-  QueryRunner row_runner(&f.pd);  // default: ExecMode::kRow
-  auto row = (row_runner.*run)();
-  ASSERT_TRUE(row.ok()) << row.status();
-  ASSERT_GT(row->result.num_rows(), 0u);
+  auto r = oracle::RunStagePlan(make(f.pd, ExecOptions{}), f.pd.num_nodes);
+  EXPECT_TRUE(r.ok()) << r.status();
+  return r.ok() ? std::move(*r) : exec::Table{};
+}
+
+void ExpectRunnerMatchesOracle(RunFn run, MakeFn make) {
+  const Fixture& f = GetFixture();
+  const exec::Table expected = OracleResult(make);
+  ASSERT_GT(expected.num_rows(), 0u);
   for (const int threads : {1, 2, 8}) {
     ExecOptions opts;
-    opts.mode = ExecMode::kVectorized;
     opts.num_threads = threads;
-    QueryRunner vec_runner(&f.pd, opts);
-    auto vec = (vec_runner.*run)();
+    QueryRunner runner(&f.pd, opts);
+    auto vec = (runner.*run)();
     ASSERT_TRUE(vec.ok()) << vec.status() << " threads=" << threads;
-    EXPECT_TRUE(BitIdenticalTables(row->result, vec->result))
+    EXPECT_TRUE(BitIdenticalTables(expected, vec->result))
         << "threads=" << threads;
   }
 }
 
 TEST(RowBatchCrosscheckTest, Q1) {
-  ExpectRowBatchBitIdentical(&QueryRunner::RunQ1);
+  ExpectRunnerMatchesOracle(&QueryRunner::RunQ1, &MakeQ1StagePlan);
 }
 
 TEST(RowBatchCrosscheckTest, Q3) {
-  ExpectRowBatchBitIdentical(&QueryRunner::RunQ3);
+  ExpectRunnerMatchesOracle(&QueryRunner::RunQ3, &MakeQ3StagePlan);
 }
 
 TEST(RowBatchCrosscheckTest, Q5) {
-  ExpectRowBatchBitIdentical(&QueryRunner::RunQ5);
+  ExpectRunnerMatchesOracle(&QueryRunner::RunQ5, &MakeQ5StagePlan);
 }
 
 TEST(RowBatchCrosscheckTest, Q1C) {
-  ExpectRowBatchBitIdentical(&QueryRunner::RunQ1C);
+  ExpectRunnerMatchesOracle(&QueryRunner::RunQ1C, &MakeQ1CStagePlan);
 }
 
 TEST(RowBatchCrosscheckTest, Q2C) {
-  ExpectRowBatchBitIdentical(&QueryRunner::RunQ2C);
+  ExpectRunnerMatchesOracle(&QueryRunner::RunQ2C, &MakeQ2CStagePlan);
 }
 
 TEST(RowBatchCrosscheckTest, SmallMorselsStayBitIdentical) {
   // Tiny morsels maximize the number of sink-ordered merge points.
   const Fixture& f = GetFixture();
-  QueryRunner row_runner(&f.pd);
-  auto row = row_runner.RunQ1();
-  ASSERT_TRUE(row.ok()) << row.status();
+  const exec::Table expected = OracleResult(&MakeQ1StagePlan);
   ExecOptions opts;
-  opts.mode = ExecMode::kVectorized;
   opts.num_threads = 4;
   opts.morsel_rows = 33;
-  QueryRunner vec_runner(&f.pd, opts);
-  auto vec = vec_runner.RunQ1();
+  QueryRunner runner(&f.pd, opts);
+  auto vec = runner.RunQ1();
   ASSERT_TRUE(vec.ok()) << vec.status();
-  EXPECT_TRUE(BitIdenticalTables(row->result, vec->result));
+  EXPECT_TRUE(BitIdenticalTables(expected, vec->result));
 }
 
-// ---- FT stage executor is engine-agnostic ----
+// ---- FT stage executor against the oracle ----
 
-void ExpectStagePlanBitIdentical(
-    StagePlan (*make)(const PartitionedDatabase&, ExecOptions)) {
+void ExpectStagePlanBitIdentical(MakeFn make) {
   const Fixture& f = GetFixture();
-  const StagePlan row_plan = make(f.pd, ExecOptions{});
-  ExecOptions vec_opts;
-  vec_opts.mode = ExecMode::kVectorized;
-  const StagePlan vec_plan = make(f.pd, vec_opts);
-
-  FaultTolerantExecutor row_exec(&row_plan, &f.pd);
-  auto row = row_exec.Execute(
-      ft::MaterializationConfig::AllMat(row_plan.ToPlanSkeleton()));
-  ASSERT_TRUE(row.ok()) << row.status();
-
-  FaultTolerantExecutor vec_exec(&vec_plan, &f.pd);
-  auto vec = vec_exec.Execute(
-      ft::MaterializationConfig::AllMat(vec_plan.ToPlanSkeleton()));
-  ASSERT_TRUE(vec.ok()) << vec.status();
-
-  ASSERT_GT(row->result.num_rows(), 0u);
-  EXPECT_TRUE(BitIdenticalTables(row->result, vec->result));
+  const exec::Table expected = OracleResult(make);
+  const StagePlan plan = make(f.pd, ExecOptions{});
+  FaultTolerantExecutor executor(&plan, &f.pd);
+  auto r = executor.Execute(
+      ft::MaterializationConfig::AllMat(plan.ToPlanSkeleton()));
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_GT(expected.num_rows(), 0u);
+  EXPECT_TRUE(BitIdenticalTables(expected, r->result));
 }
 
 TEST(RowBatchCrosscheckTest, FtExecutorQ1StagePlan) {

@@ -19,7 +19,7 @@
 
 #include "datagen/tpch_gen.h"
 #include "engine/stage_plan.h"
-#include "exec/operators.h"
+#include "exec/batch.h"
 
 namespace xdbft::engine {
 

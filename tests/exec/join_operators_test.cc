@@ -3,7 +3,7 @@
 #include <set>
 
 #include "common/rng.h"
-#include "exec/operators.h"
+#include "oracle/operators.h"
 
 namespace xdbft::exec {
 namespace {

@@ -9,7 +9,7 @@
 //     (null scan table, mismatched UNION ALL inputs).
 #include <gtest/gtest.h>
 
-#include "exec/operators.h"
+#include "oracle/operators.h"
 
 namespace xdbft::exec {
 namespace {

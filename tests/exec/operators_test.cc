@@ -1,4 +1,5 @@
-#include "exec/operators.h"
+// Tests of the test oracle's Volcano operators (oracle/operators.h).
+#include "oracle/operators.h"
 
 #include <gtest/gtest.h>
 
@@ -244,15 +245,6 @@ TEST(PipelineTest, ComposedQuery) {
   EXPECT_DOUBLE_EQ(r->rows[0][1].AsDouble(), 69.0);
   EXPECT_DOUBLE_EQ(r->rows[1][1].AsDouble(), 63.0);
   EXPECT_DOUBLE_EQ(r->rows[2][1].AsDouble(), 57.0);
-}
-
-TEST(DrainTimedTest, ReportsWallTime) {
-  Table t = NumbersTable(1000);
-  auto op = MakeSort(MakeScan(&t), {0}, {false});
-  auto r = DrainTimed(op.get());
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->table.num_rows(), 1000u);
-  EXPECT_GT(r->wall_seconds, 0.0);
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
-// Tests of the morsel-driven vectorized engine (exec/pipeline.h) against
-// the row-engine baseline: batch helpers, vectorized expression
-// evaluation (EvalVector / EvalSelection / FilterRows) versus per-row
-// Eval, and bit-identical plan execution across every VecOp and several
-// thread counts. Bit identity — not approximate equality — is the
-// contract the FT executor's determinism check relies on: the ordered
-// serial sink accumulates floating-point state in exact input-row order
-// no matter how many workers run the morsels.
+// Tests of the morsel-driven vectorized engine (exec/pipeline.h): batch
+// helpers, vectorized expression evaluation (EvalVector / EvalSelection /
+// FilterRows) versus per-row Eval, and plan execution across every VecOp
+// and several thread counts, bit-identical to the test oracle's Volcano
+// operators (oracle/operators.h). Bit identity — not approximate
+// equality — is the contract the FT executor's determinism check relies
+// on: the ordered serial sink accumulates floating-point state in exact
+// input-row order no matter how many workers run the morsels.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +13,7 @@
 
 #include "exec/batch.h"
 #include "exec/pipeline.h"
+#include "oracle/operators.h"
 
 namespace xdbft::exec {
 namespace {

@@ -2,7 +2,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "exec/operators.h"
+#include "oracle/operators.h"
 
 namespace xdbft::exec {
 

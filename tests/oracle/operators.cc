@@ -1,29 +1,10 @@
-#include "exec/operators.h"
+#include "oracle/operators.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/logging.h"
 
 namespace xdbft::exec {
-
-Result<bool> Operator::NextBatch(Batch* out) {
-  const size_t ncols = schema().num_columns();
-  out->Reset(ncols);
-  if (ncols == 0) return false;
-  size_t produced = 0;
-  Row row;
-  while (produced < kDefaultBatchRows) {
-    XDBFT_ASSIGN_OR_RETURN(const bool more, Next(&row));
-    if (!more) break;
-    for (size_t c = 0; c < ncols; ++c) {
-      out->columns[c].push_back(std::move(row[c]));
-    }
-    row.clear();
-    ++produced;
-  }
-  return produced > 0;
-}
 
 namespace {
 
@@ -40,18 +21,6 @@ class ScanOperator final : public Operator {
   Result<bool> Next(Row* out) override {
     if (pos_ >= table_->rows.size()) return false;
     *out = table_->rows[pos_++];
-    return true;
-  }
-
-  Result<bool> NextBatch(Batch* out) override {
-    const size_t n = table_->rows.size();
-    if (pos_ >= n) {
-      out->Reset(table_->schema.num_columns());
-      return false;
-    }
-    const size_t end = std::min(n, pos_ + kDefaultBatchRows);
-    BatchFromTable(*table_, pos_, end, out);
-    pos_ = end;
     return true;
   }
 
@@ -491,15 +460,48 @@ Result<Table> Drain(Operator* op) {
   return out;
 }
 
-Result<DrainStats> DrainTimed(Operator* op) {
-  const auto start = std::chrono::steady_clock::now();
-  XDBFT_ASSIGN_OR_RETURN(Table table, Drain(op));
-  const auto end = std::chrono::steady_clock::now();
-  DrainStats stats;
-  stats.table = std::move(table);
-  stats.wall_seconds =
-      std::chrono::duration<double>(end - start).count();
-  return stats;
+OperatorPtr ToOperator(const VecNodePtr& plan) {
+  if (plan == nullptr) return nullptr;
+  const VecNode& n = *plan;
+  switch (n.op) {
+    case VecOp::kScan:
+      return MakeScan(n.table);
+    case VecOp::kFilter:
+      return MakeFilter(ToOperator(n.children[0]), n.predicate);
+    case VecOp::kProject: {
+      std::vector<std::string> names;
+      names.reserve(n.schema.num_columns());
+      for (const auto& c : n.schema.columns()) names.push_back(c.name);
+      return MakeProject(ToOperator(n.children[0]), n.exprs,
+                         std::move(names));
+    }
+    case VecOp::kHashJoin:
+      return MakeHashJoin(ToOperator(n.children[0]),
+                          ToOperator(n.children[1]), n.build_keys,
+                          n.probe_keys);
+    case VecOp::kNestedLoopJoin:
+      return MakeNestedLoopJoin(ToOperator(n.children[0]),
+                                ToOperator(n.children[1]), n.predicate);
+    case VecOp::kMergeJoin:
+      return MakeMergeJoin(ToOperator(n.children[0]),
+                           ToOperator(n.children[1]), n.left_key,
+                           n.right_key);
+    case VecOp::kHashAggregate:
+      return MakeHashAggregate(ToOperator(n.children[0]), n.group_by,
+                               n.aggs);
+    case VecOp::kSort:
+      return MakeSort(ToOperator(n.children[0]), n.sort_keys, n.ascending,
+                      n.limit);
+    case VecOp::kLimit:
+      return MakeLimit(ToOperator(n.children[0]), n.limit);
+    case VecOp::kUnionAll: {
+      std::vector<OperatorPtr> inputs;
+      inputs.reserve(n.children.size());
+      for (const auto& c : n.children) inputs.push_back(ToOperator(c));
+      return MakeUnionAll(std::move(inputs));
+    }
+  }
+  return nullptr;
 }
 
 }  // namespace xdbft::exec

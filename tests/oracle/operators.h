@@ -1,6 +1,10 @@
-// Pull-based (Volcano-style open/next/close) physical operators of the
-// in-process execution engine: scan, filter, project, hash join, hash
-// aggregate, sort, limit and union-all.
+// Test-only oracle: the pull-based (Volcano-style open/next/close)
+// row-at-a-time operators — scan, filter, project, hash / nested-loop /
+// merge join, hash aggregate, sort, limit and union-all — and the lowering
+// of a VecNode plan onto them. The library runs every plan on the
+// vectorized engine (exec/pipeline.h); this independent implementation of
+// the same operator semantics is what the tests compare it against, for
+// random plans as well as the benchmark queries.
 #pragma once
 
 #include <memory>
@@ -11,40 +15,26 @@
 #include "exec/agg.h"
 #include "exec/batch.h"
 #include "exec/expr.h"
+#include "exec/pipeline.h"
 #include "exec/schema.h"
 #include "exec/value.h"
 
 namespace xdbft::exec {
 
-/// \brief Base iterator. Usage: Open() once, Next() (or NextBatch()) until
-/// it yields false, Close(). Operators own their children. Re-Open without
-/// an intervening Close must reset all state (recovery replays re-open
-/// operator trees).
+/// \brief Base iterator. Usage: Open() once, Next() until it yields false,
+/// Close(). Operators own their children. Re-Open without an intervening
+/// Close must reset all state (recovery replays re-open operator trees).
 class Operator {
  public:
   virtual ~Operator() = default;
   virtual Status Open() = 0;
   /// \brief Produce the next row into *out; yields false when exhausted.
   virtual Result<bool> Next(Row* out) = 0;
-  /// \brief Produce up to kDefaultBatchRows rows into *out (columns reset
-  /// to schema width); yields false when no rows remain. The default
-  /// implementation adapts Next(); ScanOperator overrides it with a
-  /// columnar transpose. Do not interleave Next() and NextBatch() calls.
-  virtual Result<bool> NextBatch(Batch* out);
   virtual void Close() = 0;
   virtual const Schema& schema() const = 0;
 };
 
 using OperatorPtr = std::unique_ptr<Operator>;
-
-/// \brief In-memory table: schema + rows (the storage substrate of the
-/// engine; partitioned tables in engine/ hold one per partition).
-struct Table {
-  Schema schema;
-  std::vector<Row> rows;
-
-  size_t num_rows() const { return rows.size(); }
-};
 
 /// \brief Full scan over an in-memory table (not owned).
 OperatorPtr MakeScan(const Table* table);
@@ -104,11 +94,8 @@ OperatorPtr MakeUnionAll(std::vector<OperatorPtr> inputs);
 /// \brief Drain an operator tree into a materialized table.
 Result<Table> Drain(Operator* op);
 
-/// \brief Drain + wall-clock timing (used by the cost calibrator).
-struct DrainStats {
-  Table table;
-  double wall_seconds = 0.0;
-};
-Result<DrainStats> DrainTimed(Operator* op);
+/// \brief Lower a plan to the operator tree (same output schemas, same
+/// row order as ExecuteVectorized). Returns nullptr for a null plan.
+OperatorPtr ToOperator(const VecNodePtr& plan);
 
 }  // namespace xdbft::exec

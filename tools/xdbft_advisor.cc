@@ -56,8 +56,8 @@
 //                        wall-clock spans from the validation execution and
 //                        virtual-time spans from one simulated run.
 //   --profile            run TPC-H Q1/Q3/Q5 over a tiny generated database
-//                        on both engines with per-operator profiling and
-//                        print one EXPLAIN ANALYZE tree per stage (also
+//                        with per-operator profiling and print one
+//                        EXPLAIN ANALYZE tree per stage (also
 //                        embedded in --metrics-json under "profiles").
 //                        Works standalone, without --plan.
 //   --postmortem-dir DIR if the validation execution aborts, write a
@@ -334,10 +334,10 @@ Result<ft::ObservedExecution> RunValidationExecution(
   return observed;
 }
 
-// --profile: run Q1/Q3/Q5 over a tiny generated TPC-H database on both
-// engines with per-operator profiling on and print one EXPLAIN ANALYZE
-// tree per stage. The collected profiles (labels prefixed with the query
-// name) are appended to *profiles for --metrics-json.
+// --profile: run Q1/Q3/Q5 over a tiny generated TPC-H database with
+// per-operator profiling on and print one EXPLAIN ANALYZE tree per stage.
+// The collected profiles (labels prefixed with the query name) are
+// appended to *profiles for --metrics-json.
 Status RunProfileDemo(std::vector<obs::QueryProfile>* profiles) {
   datagen::TpchGenOptions opts;
   opts.scale_factor = 0.01;
@@ -353,24 +353,18 @@ Status RunProfileDemo(std::vector<obs::QueryProfile>* profiles) {
   const Query kQueries[] = {{"Q1", &engine::QueryRunner::RunQ1},
                             {"Q3", &engine::QueryRunner::RunQ3},
                             {"Q5", &engine::QueryRunner::RunQ5}};
-  for (const engine::ExecMode mode :
-       {engine::ExecMode::kRow, engine::ExecMode::kVectorized}) {
-    const bool vectorized = mode == engine::ExecMode::kVectorized;
-    engine::ExecOptions eopts;
-    eopts.mode = mode;
-    eopts.num_threads = vectorized ? 2 : 1;
-    eopts.profile = true;
-    engine::QueryRunner runner(&pd, eopts);
-    for (const Query& q : kQueries) {
-      XDBFT_ASSIGN_OR_RETURN(engine::QueryExecution exec,
-                             (runner.*q.run)());
-      std::printf("\nEXPLAIN ANALYZE %s (tiny TPC-H sf=0.01, %s engine):\n",
-                  q.name, vectorized ? "vectorized" : "row");
-      for (obs::QueryProfile& p : exec.stage_profiles) {
-        std::printf("%s", p.ToText().c_str());
-        p.label = std::string(q.name) + "/" + p.label;
-        profiles->push_back(std::move(p));
-      }
+  engine::ExecOptions eopts;
+  eopts.num_threads = 2;
+  eopts.profile = true;
+  engine::QueryRunner runner(&pd, eopts);
+  for (const Query& q : kQueries) {
+    XDBFT_ASSIGN_OR_RETURN(engine::QueryExecution exec, (runner.*q.run)());
+    std::printf("\nEXPLAIN ANALYZE %s (tiny TPC-H sf=0.01, 2 threads):\n",
+                q.name);
+    for (obs::QueryProfile& p : exec.stage_profiles) {
+      std::printf("%s", p.ToText().c_str());
+      p.label = std::string(q.name) + "/" + p.label;
+      profiles->push_back(std::move(p));
     }
   }
   return Status::OK();
